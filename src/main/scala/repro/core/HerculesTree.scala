@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** Split-policy selection (§3.2): evaluates every H-split and V-split
@@ -12,125 +13,165 @@ import scala.collection.mutable.ArrayBuffer
   * same segmentation is what lets V-splits compete fairly with H-splits:
   * z-normalized series are indistinguishable on the whole-series segment
   * (μ=0, σ=1), so the root must discover sub-segment structure.
+  *
+  * Each segment's per-series mean and sd are computed once, into a `Column`;
+  * a candidate segmentation is a list of columns (the node's own, with one
+  * of them halved for a V-split). The undivided node's QoS is summed once
+  * per segmentation, and each candidate scores both children in one pass
+  * over the columns.
   */
 object SplitPolicy {
+
+  /** Per-series mean and sd of the segment `[from, until)`, and their
+    * min/max over the whole node.
+    */
+  private final class Column(ctxs: Array[SeriesCtx], from: Int, until: Int) {
+    val len: Int = until - from
+    val mu = new Array[Double](ctxs.length)
+    val sd = new Array[Double](ctxs.length)
+    var muMin, sdMin = Double.PositiveInfinity
+    var muMax, sdMax = Double.NegativeInfinity
+    locally {
+      var i = 0
+      while (i < ctxs.length) {
+        val m = ctxs(i).mean(from, until)
+        val s = ctxs(i).sd(from, until)
+        mu(i) = m
+        sd(i) = s
+        if (m < muMin) muMin = m
+        if (m > muMax) muMax = m
+        if (s < sdMin) sdMin = s
+        if (s > sdMax) sdMax = s
+        i += 1
+      }
+    }
+  }
+
+  /** `q` plus one segment's QoS term: its length times the squared ranges of
+    * mean and sd (nothing when no series fell on this side).
+    */
+  private def addQos(q: Double, len: Int, muMin: Double, muMax: Double,
+                     sdMin: Double, sdMax: Double): Double =
+    if (muMin.isPosInfinity) q
+    else {
+      val dm = muMax - muMin
+      val ds = sdMax - sdMin
+      q + len * (dm * dm + ds * ds)
+    }
 
   /** Pick the best split for a full leaf, or None when the leaf's series are
     * indistinguishable under every candidate statistic (the leaf is then
     * allowed to exceed capacity instead of splitting forever).
     */
   def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] = {
-    val ctxs = series.map(new SeriesCtx(_))
+    val ctxs = series.iterator.map(new SeriesCtx(_)).toArray
     val rho = series.length
+    // Members of the left child, then of the right, each in input order.
+    val order = new Array[Int](rho)
 
     var best: SplitInfo = null
     var bestGain = Double.NegativeInfinity
 
-    def consider(vertical: Boolean, childEnds: Array[Int], routeSeg: Int, useSd: Boolean): Unit = {
-      val from = if (routeSeg == 0) 0 else childEnds(routeSeg - 1)
-      val until = childEnds(routeSeg)
-      val stats = new Array[Double](rho)
+    def nodeQos(cols: Array[Column]): Double =
+      cols.foldLeft(0.0)((q, c) => addQos(q, c.len, c.muMin, c.muMax, c.sdMin, c.sdMax))
+
+    def countBelow(stats: Array[Double], value: Double): Int = {
+      var cnt = 0
+      var i = 0
+      while (i < rho) { if (stats(i) < value) cnt += 1; i += 1 }
+      cnt
+    }
+
+    /** Min/max of mean and sd over the members `order[from, until)` in
+      * column `c`, folded into `q` as one QoS term.
+      */
+    def addSide(q: Double, c: Column, from: Int, until: Int): Double = {
+      val mu = c.mu
+      val sd = c.sd
+      var muMin, sdMin = Double.PositiveInfinity
+      var muMax, sdMax = Double.NegativeInfinity
+      var k = from
+      while (k < until) {
+        val i = order(k)
+        val m = mu(i)
+        val s = sd(i)
+        if (m < muMin) muMin = m
+        if (m > muMax) muMax = m
+        if (s < sdMin) sdMin = s
+        if (s > sdMax) sdMax = s
+        k += 1
+      }
+      addQos(q, c.len, muMin, muMax, sdMin, sdMax)
+    }
+
+    def consider(vertical: Boolean, childEnds: Array[Int], cols: Array[Column], before: Double,
+                 routeSeg: Int, useSd: Boolean): Unit = {
+      val stats = if (useSd) cols(routeSeg).sd else cols(routeSeg).mu
       var i = 0
       var mn = Double.PositiveInfinity
       var mx = Double.NegativeInfinity
       while (i < rho) {
-        val v = if (useSd) ctxs(i).sd(from, until) else ctxs(i).mean(from, until)
-        stats(i) = v
+        val v = stats(i)
         if (v < mn) mn = v
         if (v > mx) mx = v
         i += 1
       }
       if (mx <= mn) return // cannot separate on this stat
       var value = (mn + mx) / 2.0 // midrange, as in the paper's H-split
-      var leftCnt = stats.count(_ < value)
+      var leftCnt = countBelow(stats, value)
       if (leftCnt == 0 || leftCnt == rho) {
         // Skewed: midrange leaves a side empty; fall back to the second
         // distinct value so both children are non-empty.
         val distinct = stats.distinct.sorted
         value = distinct(1)
-        leftCnt = stats.count(_ < value)
+        leftCnt = countBelow(stats, value)
       }
-      val gain = qosGain(ctxs, stats, value, childEnds, leftCnt, rho - leftCnt)
+      var l = 0
+      var r = leftCnt
+      i = 0
+      while (i < rho) {
+        if (stats(i) < value) { order(l) = i; l += 1 }
+        else { order(r) = i; r += 1 }
+        i += 1
+      }
+      // Both children's QoS on the candidate's segmentation, in one pass.
+      var qL = 0.0
+      var qR = 0.0
+      var j = 0
+      while (j < cols.length) {
+        qL = addSide(qL, cols(j), 0, leftCnt)
+        qR = addSide(qR, cols(j), leftCnt, rho)
+        j += 1
+      }
+      val gain = before - (leftCnt.toDouble / rho * qL + (rho - leftCnt).toDouble / rho * qR)
       if (gain > bestGain) {
         bestGain = gain
         best = SplitInfo(vertical, childEnds, routeSeg, useSd, value)
       }
     }
 
+    val base = Array.tabulate(node.segCount)(s => new Column(ctxs, node.segStart(s), node.ends(s)))
+    val baseQos = nodeQos(base)
     var seg = 0
     while (seg < node.segCount) {
       val st = node.segStart(seg)
       val en = node.ends(seg)
-      consider(vertical = false, node.ends, seg, useSd = false)
-      consider(vertical = false, node.ends, seg, useSd = true)
+      consider(vertical = false, node.ends, base, baseQos, seg, useSd = false)
+      consider(vertical = false, node.ends, base, baseQos, seg, useSd = true)
       if (en - st >= 2) {
         val mid = (st + en) / 2
         val vEnds = (node.ends.take(seg) :+ mid) ++ node.ends.drop(seg)
-        consider(vertical = true, vEnds, seg, useSd = false)
-        consider(vertical = true, vEnds, seg, useSd = true)
-        consider(vertical = true, vEnds, seg + 1, useSd = false)
-        consider(vertical = true, vEnds, seg + 1, useSd = true)
+        val vCols = (base.take(seg) :+ new Column(ctxs, st, mid) :+ new Column(ctxs, mid, en)) ++
+          base.drop(seg + 1)
+        val vQos = nodeQos(vCols)
+        consider(vertical = true, vEnds, vCols, vQos, seg, useSd = false)
+        consider(vertical = true, vEnds, vCols, vQos, seg, useSd = true)
+        consider(vertical = true, vEnds, vCols, vQos, seg + 1, useSd = false)
+        consider(vertical = true, vEnds, vCols, vQos, seg + 1, useSd = true)
       }
       seg += 1
     }
     Option(best)
-  }
-
-  /** QoS gain of one candidate: the node's QoS on the candidate's child
-    * segmentation minus the count-weighted children QoS (same segmentation).
-    * Positive gain = the split tightens the synopsis ranges.
-    */
-  private def qosGain(ctxs: IndexedSeq[SeriesCtx], stats: Array[Double], value: Double,
-                      childEnds: Array[Int], leftCnt: Int, rightCnt: Int): Double = {
-    val m = childEnds.length
-    // accumulators 0=left, 1=right, 2=whole node; rows: muMin,muMax,sdMin,sdMax
-    val acc = Array.fill(3)(Array.fill(4, m)(0.0))
-    acc.foreach { a =>
-      java.util.Arrays.fill(a(0), Double.PositiveInfinity)
-      java.util.Arrays.fill(a(1), Double.NegativeInfinity)
-      java.util.Arrays.fill(a(2), Double.PositiveInfinity)
-      java.util.Arrays.fill(a(3), Double.NegativeInfinity)
-    }
-    var i = 0
-    while (i < ctxs.length) {
-      val side = if (stats(i) < value) 0 else 1
-      var j = 0
-      while (j < m) {
-        val from = if (j == 0) 0 else childEnds(j - 1)
-        val until = childEnds(j)
-        val mu = ctxs(i).mean(from, until)
-        val sd = ctxs(i).sd(from, until)
-        var g = 0
-        while (g < 2) {
-          val a = if (g == 0) acc(side) else acc(2)
-          if (mu < a(0)(j)) a(0)(j) = mu
-          if (mu > a(1)(j)) a(1)(j) = mu
-          if (sd < a(2)(j)) a(2)(j) = sd
-          if (sd > a(3)(j)) a(3)(j) = sd
-          g += 1
-        }
-        j += 1
-      }
-      i += 1
-    }
-    def qos(a: Array[Array[Double]]): Double = {
-      var j = 0
-      var q = 0.0
-      while (j < m) {
-        if (!a(0)(j).isPosInfinity) {
-          val len = childEnds(j) - (if (j == 0) 0 else childEnds(j - 1))
-          val dm = a(1)(j) - a(0)(j)
-          val ds = a(3)(j) - a(2)(j)
-          q += len * (dm * dm + ds * ds)
-        }
-        j += 1
-      }
-      q
-    }
-    val before = qos(acc(2))
-    val after = leftCnt.toDouble / ctxs.length * qos(acc(0)) +
-      rightCnt.toDouble / ctxs.length * qos(acc(1))
-    before - after
   }
 }
 
@@ -140,6 +181,8 @@ object SplitPolicy {
   */
 final class HerculesTree(val cfg: IndexConfig) extends Serializable {
   private val nextId = new AtomicInteger(0)
+  private val attempts = new AtomicInteger(0)
+  private val failed = new AtomicInteger(0)
 
   /** Root starts as a single-segment leaf over the whole series. */
   val root: Node = newNode(Array(cfg.seriesLength))
@@ -203,13 +246,19 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
     }
   }
 
-  /** Append under the leaf lock; update the leaf synopsis; split when full. */
+  /** Append under the leaf lock; update the leaf synopsis; split when full.
+    * A leaf whose last split attempt failed is not retried while arriving
+    * series equal its first member: a copy of a member changes no candidate's
+    * min/max, so [[SplitPolicy.choose]] would return None again.
+    */
   private def appendToLeaf(leaf: Node, id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
     leaf.updateSynopsis(s)
     val slot = store.alloc(worker, id, s)
     leaf.slots += slot
     leaf.count += 1
-    if (leaf.count >= cfg.leafCapacity) splitLeaf(leaf, store)
+    if (leaf.count >= cfg.leafCapacity &&
+        (leaf.unsplittableAs == null || !java.util.Arrays.equals(leaf.unsplittableAs, s)))
+      splitLeaf(leaf, store)
   }
 
   /** Split a full leaf (Algorithm 5 lines 9–14): gather its series from
@@ -217,52 +266,55 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
     * two children, and redistribute SBuffer slots / spill records.
     */
   private def splitLeaf(leaf: Node, store: SeriesStore): Unit = {
+    attempts.incrementAndGet()
     val spilled = store.readSpill(leaf)
     val memSlots = leaf.slots
-    val allSeries: IndexedSeq[Array[Float]] =
-      (spilled.map(_._2) ++ memSlots.map(store.seriesAt)).toIndexedSeq
-    SplitPolicy.choose(leaf, allSeries) match {
+    val allSeries = new Array[Array[Float]](spilled.length + memSlots.length)
+    var i = 0
+    while (i < spilled.length) { allSeries(i) = spilled(i)._2; i += 1 }
+    while (i < allSeries.length) { allSeries(i) = store.seriesAt(memSlots(i - spilled.length)); i += 1 }
+    SplitPolicy.choose(leaf, ArraySeq.unsafeWrapArray(allSeries)) match {
       case None => // indistinguishable contents: tolerate an oversized leaf
+        failed.incrementAndGet()
+        leaf.unsplittableAs = allSeries(0)
       case Some(policy) =>
         val l = newNode(policy.childEnds)
         val r = newNode(policy.childEnds)
         l.parent = leaf
         r.parent = leaf
-        // Spilled records stream to the children's spill files.
+        def add(child: Node, sv: Array[Float]): Unit = { child.updateSynopsis(sv); child.count += 1 }
+        // Spilled records move to the children's spill files.
         if (spilled.nonEmpty) {
-          val outs = Array(l, r).map { c =>
-            new java.io.DataOutputStream(new java.io.BufferedOutputStream(
-              new java.io.FileOutputStream(store.spillPathFor(c).toFile, true)))
-          }
-          try {
-            spilled.foreach { case (sid, sv) =>
-              val side = if (policy.goesLeft(sv)) 0 else 1
-              val child = if (side == 0) l else r
-              outs(side).writeLong(sid)
-              var i = 0
-              while (i < sv.length) { outs(side).writeFloat(sv(i)); i += 1 }
-              child.spilledCount += 1
-              child.updateSynopsis(sv)
-              child.count += 1
-            }
-          } finally outs.foreach(_.close())
+          val (toL, toR) = spilled.partition { case (_, sv) => policy.goesLeft(sv) }
+          store.spill(l, toL)
+          store.spill(r, toR)
+          toL.foreach { case (_, sv) => add(l, sv) }
+          toR.foreach { case (_, sv) => add(r, sv) }
         }
         // In-memory slots keep their HBuffer place; only SBuffer pointers move.
-        memSlots.foreach { slot =>
-          val sv = store.seriesAt(slot)
+        i = spilled.length
+        while (i < allSeries.length) {
+          val sv = allSeries(i)
           val child = if (policy.goesLeft(sv)) l else r
-          child.slots += slot
-          child.updateSynopsis(sv)
-          child.count += 1
+          child.slots += memSlots(i - spilled.length)
+          add(child, sv)
+          i += 1
         }
         store.dropSpill(leaf)
         leaf.slots = null
+        leaf.unsplittableAs = null
         leaf.split = policy
         leaf.left = l
         leaf.right = r
         leaf.isLeaf = false // volatile store last: publishes the split safely
     }
   }
+
+  /** Split attempts so far, failed ones included. */
+  def splitAttempts: Int = attempts.get()
+
+  /** Split attempts that found the leaf unsplittable. */
+  def failedSplits: Int = failed.get()
 
   /** Number of leaves currently in the tree. */
   def leafCount: Int = root.leavesInorder.size

@@ -13,8 +13,11 @@ package repro.core
   * @param buildThreads    InsertWorker count for the in-core parallel builder
   * @param writerThreads   WriteIndexWorker count for the index-writing phase
   * @param dbSize          DBuffer chunk size, in series (paper: 120K)
-  * @param hbufferSlots    HBuffer capacity in series slots; 0 = size to the
-  *                        dataset so no flush occurs (paper: 60GB buffer)
+  * @param hbufferSlots    HBuffer capacity in series slots, split evenly into
+  *                        one region per build thread; 0 = the dataset plus
+  *                        one DBuffer chunk. Even then a flush can occur with
+  *                        several threads, when one claims more than its
+  *                        region holds (paper: 60GB buffer)
   * @param flushThreshold  number of full worker regions that triggers a flush
   */
 final case class IndexConfig(

@@ -81,6 +81,7 @@ object IndexWriter {
     }
     store.dropSpill(leaf)
     leaf.slots = null
+    leaf.unsplittableAs = null
 
     if (updateSynopses && leaf.parent != null) {
       // Segments of this leaf, keyed by their (start, end) range.

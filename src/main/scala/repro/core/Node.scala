@@ -70,6 +70,8 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   @transient var slots: ArrayBuffer[Int] = new ArrayBuffer[Int]
   @transient var spillFile: Path = _
   var spilledCount: Int = 0
+  /** The leaf's first member when its last split attempt failed. */
+  @transient var unsplittableAs: Array[Float] = _
 
   // After index writing: first series index and extent in LRDFile.
   var filePos: Int = -1

@@ -19,22 +19,32 @@ object BuildMode {
 /** Index building (§3.3, Algorithms 1–4).
   *
   * The coordinator cuts the input into DBuffer chunks of `cfg.dbSize` series
-  * and alternates the two buffer parts; InsertWorkers claim series with a
-  * fetch-add cursor and insert them under Algorithm 5. A worker whose HBuffer
-  * region cannot absorb a full chunk skips the chunk and raises the flush
-  * counter. At the end-of-chunk barrier, one thread alone (the
-  * FlushCoordinator — here the barrier action, all other parties parked)
-  * decides whether to flush, spills every leaf's buffered series to its spill
-  * file, and single-threadedly inserts any series left unclaimed.
+  * and alternates the two buffer parts; InsertWorkers claim series one at a
+  * time with a fetch-add cursor and insert them under Algorithm 5. A worker
+  * claims only while its HBuffer region has a free slot (each insert takes
+  * exactly one); a worker whose region fills, at the start of a chunk or in
+  * the middle of one, raises the flush counter and parks at the barrier. At
+  * the end-of-chunk barrier, one thread alone (the FlushCoordinator — here
+  * the barrier action, all other parties parked) decides whether to flush,
+  * spills every leaf's buffered series to its spill file, and
+  * single-threadedly inserts any series left unclaimed (a catch-up insert,
+  * counted by [[catchUpInserts]]).
   *
-  * Deviation from the paper (noted in DESIGN.md): the paper uses two barriers
-  * so the read coordinator never blocks during a flush; merging them into one
-  * barrier round makes the coordinator idle during flushes but preserves the
-  * protocol's structure (single flusher, workers parked, per-chunk cadence).
-  * The "file" being read is an in-memory array — the read phase is the
-  * substitution for raw-file I/O.
+  * Deviations from the paper (noted in DESIGN.md): the paper uses two
+  * barriers so the read coordinator never blocks during a flush; merging them
+  * into one barrier round makes the coordinator idle during flushes but
+  * preserves the protocol's structure (single flusher, workers parked,
+  * per-chunk cadence). Algorithm 2 lets a worker take part in a chunk only
+  * when its region holds a whole chunk; claiming per series instead keeps
+  * every worker inserting until its region is actually full. The "file"
+  * being read is an in-memory array — the read phase is the substitution for
+  * raw-file I/O.
   */
 final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
+  private var catchUps = 0
+
+  /** Series the FlushCoordinator inserted itself in the last [[build]]. */
+  def catchUpInserts: Int = catchUps
 
   /** Build the tree over `(ids, data)`; returns the tree plus the HBuffer
     * (still holding unflushed leaf data — the IndexWriter consumes it).
@@ -42,6 +52,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
   def build(ids: Array[Long], data: Array[Array[Float]]): (HerculesTree, SeriesStore) = {
     require(ids.length == data.length)
     val n = data.length
+    catchUps = 0
     val tree = new HerculesTree(cfg)
     val workers = if (mode == BuildMode.Sequential) 1 else math.max(1, cfg.buildThreads)
     val dbSize = math.max(1, math.min(cfg.dbSize, math.max(1, n)))
@@ -83,10 +94,14 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
         store.flushAll(tree.root)
         flushCounter.set(0)
       }
-      // Catch up series skipped by full workers: regions were just emptied,
+      // Catch up series left by full workers: regions were just emptied,
       // and one chunk always fits one region (SeriesStore.create guarantee).
       var pos = cursors(t).getAndIncrement()
-      while (pos < len) { insertOne(chunkStart(t) + pos, 0); pos = cursors(t).getAndIncrement() }
+      while (pos < len) {
+        insertOne(chunkStart(t) + pos, 0)
+        catchUps += 1
+        pos = cursors(t).getAndIncrement()
+      }
       actionToggle ^= 1
     })
 
@@ -94,10 +109,14 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
       var toggle = 0
       while (!finished(toggle)) {
         val len = chunkLen(toggle)
-        if (store.freeSlots(w) >= len) {
-          var pos = cursors(toggle).getAndIncrement()
-          while (pos < len) { insertOne(chunkStart(toggle) + pos, w); pos = cursors(toggle).getAndIncrement() }
-        } else flushCounter.incrementAndGet()
+        var claiming = true
+        while (claiming) {
+          if (store.freeSlots(w) == 0) { flushCounter.incrementAndGet(); claiming = false }
+          else {
+            val pos = cursors(toggle).getAndIncrement()
+            if (pos < len) insertOne(chunkStart(toggle) + pos, w) else claiming = false
+          }
+        }
         barrier.await()
         toggle ^= 1
       }

@@ -1,7 +1,9 @@
 package repro.core
 
-import java.io.{BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
-import java.nio.file.{Files, Path}
+import java.io.EOFException
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardOpenOption}
 import scala.collection.mutable.ArrayBuffer
 
 /** The HBuffer of §3.3: one pre-allocated flat float buffer holding the raw
@@ -25,6 +27,8 @@ final class SeriesStore(
   private val flat = new Array[Float](numWorkers * regionSlots * seriesLen)
   private val slotIds = new Array[Long](numWorkers * regionSlots)
   private val used = new Array[Int](numWorkers)
+  private val recordBytes = 8 + 4 * seriesLen
+  private var flushes = 0
 
   /** Remaining slots in worker `w`'s region. */
   def freeSlots(w: Int): Int = regionSlots - used(w)
@@ -50,19 +54,6 @@ final class SeriesStore(
   /** Original id of the series stored in `slot`. */
   def idAt(slot: Int): Long = slotIds(slot)
 
-  /** Stat of one segment of the slot's series without copying. */
-  def segMeanSd(slot: Int, from: Int, until: Int): (Double, Double) = {
-    val off = slot * seriesLen
-    var i = off + from
-    val end = off + until
-    var sum = 0.0
-    var sum2 = 0.0
-    while (i < end) { val v = flat(i).toDouble; sum += v; sum2 += v * v; i += 1 }
-    val len = until - from
-    val m = sum / len
-    (m, math.sqrt(math.max(0.0, sum2 / len - m * m)))
-  }
-
   /** Flush every leaf of `root`: append buffered series to the leaf's spill
     * file, clear its SBuffer, then reset all regions. Single-threaded — the
     * FlushCoordinator runs this while all other workers are parked (§3.3.2).
@@ -70,22 +61,25 @@ final class SeriesStore(
   def flushAll(root: Node): Unit = {
     root.leavesInorder.foreach { leaf =>
       if (leaf.slots != null && leaf.slots.nonEmpty) {
-        val out = new DataOutputStream(new BufferedOutputStream(
-          new FileOutputStream(spillPathFor(leaf).toFile, true)))
-        try {
-          leaf.slots.foreach { slot =>
-            out.writeLong(slotIds(slot))
-            val off = slot * seriesLen
-            var i = 0
-            while (i < seriesLen) { out.writeFloat(flat(off + i)); i += 1 }
-          }
-        } finally out.close()
-        leaf.spilledCount += leaf.slots.size
-        leaf.slots.clear()
+        val slots = leaf.slots
+        appendSpill(leaf, slots.length)((buf, r) =>
+          putRecord(buf, slotIds(slots(r)), flat, slots(r) * seriesLen))
+        slots.clear()
       }
     }
     java.util.Arrays.fill(used, 0)
+    flushes += 1
   }
+
+  /** Number of [[flushAll]] calls so far. */
+  def flushCount: Int = flushes
+
+  /** Append `(id, series)` records to `leaf`'s spill file in one write. */
+  def spill(leaf: Node, records: collection.Seq[(Long, Array[Float])]): Unit =
+    appendSpill(leaf, records.length) { (buf, r) =>
+      val (id, s) = records(r)
+      putRecord(buf, id, s, 0)
+    }
 
   /** The spill file of a leaf (created lazily on first flush). */
   def spillPathFor(leaf: Node): Path = {
@@ -95,21 +89,18 @@ final class SeriesStore(
 
   /** Read a leaf's spilled records (id, series) in append order. */
   def readSpill(leaf: Node): ArrayBuffer[(Long, Array[Float])] = {
-    val out = new ArrayBuffer[(Long, Array[Float])](leaf.spilledCount)
-    if (leaf.spilledCount > 0 && leaf.spillFile != null && Files.exists(leaf.spillFile)) {
-      val in = new DataInputStream(new java.io.BufferedInputStream(
-        new FileInputStream(leaf.spillFile.toFile)))
+    val n = leaf.spilledCount
+    val out = new ArrayBuffer[(Long, Array[Float])](n)
+    if (n > 0 && leaf.spillFile != null && Files.exists(leaf.spillFile)) {
+      val buf = ByteBuffer.allocate(Math.multiplyExact(n, recordBytes))
+      val ch = FileChannel.open(leaf.spillFile, StandardOpenOption.READ)
       try {
-        var r = 0
-        while (r < leaf.spilledCount) {
-          val id = in.readLong()
-          val s = new Array[Float](seriesLen)
-          var i = 0
-          while (i < seriesLen) { s(i) = in.readFloat(); i += 1 }
-          out += ((id, s))
-          r += 1
-        }
-      } finally in.close()
+        while (buf.hasRemaining)
+          if (ch.read(buf) < 0) throw new EOFException(s"${leaf.spillFile}: fewer than $n records")
+      } finally ch.close()
+      buf.flip()
+      var r = 0
+      while (r < n) { out += getRecord(buf); r += 1 }
     }
     out
   }
@@ -126,6 +117,39 @@ final class SeriesStore(
     if (leaf.spillFile != null) { Files.deleteIfExists(leaf.spillFile); leaf.spillFile = null }
     leaf.spilledCount = 0
   }
+
+  /** Encode `n` records (`put` writes record `r`) and append them to
+    * `leaf`'s spill file with one write.
+    */
+  private def appendSpill(leaf: Node, n: Int)(put: (ByteBuffer, Int) => Unit): Unit = if (n > 0) {
+    val buf = ByteBuffer.allocate(Math.multiplyExact(n, recordBytes))
+    var r = 0
+    while (r < n) { put(buf, r); r += 1 }
+    buf.flip()
+    val ch = FileChannel.open(spillPathFor(leaf),
+      StandardOpenOption.CREATE, StandardOpenOption.WRITE, StandardOpenOption.APPEND)
+    try while (buf.hasRemaining) ch.write(buf)
+    finally ch.close()
+    leaf.spilledCount += n
+  }
+
+  /** The spill record codec: a big-endian long id, then the series' floats,
+    * byte for byte what `DataOutputStream.writeLong`/`writeFloat` write.
+    */
+  private def putRecord(buf: ByteBuffer, id: Long, src: Array[Float], off: Int): Unit = {
+    buf.putLong(id)
+    var i = 0
+    while (i < seriesLen) { buf.putInt(java.lang.Float.floatToIntBits(src(off + i))); i += 1 }
+  }
+
+  /** Decode the record at `buf`'s position (the inverse of [[putRecord]]). */
+  private def getRecord(buf: ByteBuffer): (Long, Array[Float]) = {
+    val id = buf.getLong()
+    val s = new Array[Float](seriesLen)
+    var i = 0
+    while (i < seriesLen) { s(i) = buf.getFloat(); i += 1 }
+    (id, s)
+  }
 }
 
 object SeriesStore {
@@ -133,9 +157,9 @@ object SeriesStore {
   /** Create a store with a fresh temp spill directory.
     *
     * @param totalSlots capacity across all workers; rounded up so each region
-    *                   holds at least `minRegion` series (the DBuffer chunk —
-    *                   Algorithm 2's "at least DBSize empty slots" check needs
-    *                   regions that can absorb one full chunk).
+    *                   holds at least `minRegion` series (the DBuffer chunk:
+    *                   after a flush, the FlushCoordinator's catch-up inserts
+    *                   of one chunk's leftovers must fit one region).
     */
   def create(seriesLen: Int, numWorkers: Int, totalSlots: Int, minRegion: Int): SeriesStore = {
     val region = math.max(minRegion, (totalSlots + numWorkers - 1) / numWorkers)

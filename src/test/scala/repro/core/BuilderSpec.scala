@@ -73,6 +73,30 @@ class BuilderSpec extends AnyFunSuite {
     val b = HerculesIndex.build(ids, data, cfg, BuildMode.Sequential)
     assert(a.ids.sorted.toSeq == b.ids.sorted.toSeq)
     assert(a.nSeries == b.nSeries)
-    assert(a.nSeries == b.nSeries)
   }
+
+  test("with hbufferSlots = 0, four workers make no catch-up inserts") {
+    // The regions hold n + dbSize slots in total, so while a chunk is
+    // unclaimed some worker has a free slot and keeps claiming.
+    val cfg = TestUtil.cfg(32, 16, 4)
+    for (seed <- 1 to 3) {
+      val (ids, data) = TestUtil.dataset(3000, 32, seed)
+      val builder = new ParallelBuilder(cfg, BuildMode.Hercules)
+      val (tree, _) = builder.build(ids, data)
+      assert(builder.catchUpInserts == 0, s"seed $seed")
+      assert(tree.root.leavesInorder.map(_.count).sum == 3000)
+    }
+  }
+
+  for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
+    test(s"regions smaller than two chunks index every id once, exactly ($mode)") {
+      // 4 regions of 48 slots, chunks of 32: workers fill mid-chunk.
+      val cfg = TestUtil.cfg(32, 8, 4).copy(dbSize = 32, hbufferSlots = 192, flushThreshold = 2)
+      val (ids, data) = TestUtil.dataset(1500, 32, 31)
+      val builder = new ParallelBuilder(cfg, mode)
+      val (_, store) = builder.build(ids, data)
+      assert(store.regionSlots < 2 * cfg.dbSize)
+      assert(store.flushCount > 0)
+      checkBuild(mode, cfg, 1500, 31)
+    }
 }

@@ -112,6 +112,45 @@ class TreeSpec extends AnyFunSuite {
     assert(tree.root.leavesInorder.map(_.count).sum == 20)
   }
 
+  /** Build `data` in `mode` with a small HBuffer (so the unsplittable leaf
+    * is also spilled), check k-NN answers against brute force, and return
+    * the tree's failed split attempts.
+    */
+  private def failedSplitsOf(mode: BuildMode, data: Array[Array[Float]], queries: Seq[Array[Float]]): Int = {
+    val threads = if (mode == BuildMode.Sequential) 1 else 4
+    val cfg = TestUtil.cfg(32, 16, threads).copy(hbufferSlots = 1024)
+    val ids = Array.tabulate(data.length)(_.toLong)
+    val (tree, store) = new ParallelBuilder(cfg, mode).build(ids, data)
+    val failed = tree.failedSplits
+    assert(tree.splitAttempts >= failed)
+    val idx = IndexWriter.write(tree, store, updateSynopses = mode == BuildMode.Hercules, threads = threads)
+    assert(idx.nSeries == data.length)
+    queries.zipWithIndex.foreach { case (q, qi) =>
+      TestUtil.assertExact(ids, data, q, 5, idx.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2)), s"$mode q$qi")
+    }
+    failed
+  }
+
+  for (mode <- Seq[BuildMode](BuildMode.Sequential, BuildMode.Hercules))
+    test(s"8192 identical series make one failed split attempt ($mode)") {
+      val s = SeriesGen.seriesForId("walk", 5, 32, 3)
+      val data = Array.fill(8192)(s.clone)
+      val failed = failedSplitsOf(mode, data, Seq(s, SeriesGen.seriesForId("walk", 6, 32, 3)))
+      assert(failed == 1)
+    }
+
+  for (mode <- Seq[BuildMode](BuildMode.Sequential, BuildMode.Hercules))
+    test(s"a 10%-flat mix makes O(1) failed split attempts on the flat leaf ($mode)") {
+      // Flat lines z-normalize to all zeros: 800 copies of one series. Only
+      // a walk routed into the flat leaf's region makes it try again (8
+      // times here; 10 with 3200 flat lines), not each of the 784 flat lines
+      // that arrive after the leaf is full.
+      val data = Array.tabulate(8000)(i =>
+        if (i % 10 == 0) new Array[Float](32) else SeriesGen.seriesForId("walk", i, 32, 4))
+      val failed = failedSplitsOf(mode, data, Seq(data(0), data(1), SeriesGen.seriesForId("walk", 9001, 32, 4)))
+      assert(failed >= 1 && failed <= 16, s"$failed failed split attempts")
+    }
+
   test("SplitPolicy.choose separates distinguishable data") {
     val data = SeriesGen.dataset("walk", 30, 32, 3).toIndexedSeq
     val node = new Node(Array(32), 0)
