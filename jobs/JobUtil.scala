@@ -1,26 +1,16 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.experiments.BenchRow
 
-/** Shared plumbing for the spark-submit entrypoints: session creation and
-  * table printing. Each figure job accepts an optional `--scale X` argument.
-  */
+/** Shared plumbing for the spark-submit entrypoints. */
 object JobUtil {
 
   /** Local session mirroring the test harness settings. */
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  /** Parse `--scale X` (default 1.0). */
-  def scaleOf(args: Array[String]): Double =
-    args.sliding(2).collectFirst { case Array("--scale", v) => v.toDouble }.getOrElse(1.0)
-
-  /** Print the rendered table for a figure. */
-  def emit(title: String, rows: Seq[BenchRow]): Unit = println(BenchRow.render(title, rows))
 }

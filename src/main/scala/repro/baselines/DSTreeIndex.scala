@@ -11,21 +11,17 @@ import repro.core._
   * `LB_EAPCA` scans every non-pruned leaf with real distances. Single thread,
   * no iSAX, no thresholds.
   */
-final class DSTreeIndex(val idx: HerculesIndex) extends Serializable {
+final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
 
-  /** Exact k-NN (DSTree's search; one thread). */
-  def knn(q: Array[Float], k: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
+  def nSeries: Int = idx.nSeries
+
+  /** Exact k-NN (DSTree's search; one thread, reads `knobs.k` only). */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
     val qc = new SeriesCtx(q)
-    val results = new KnnSet(k)
-    val len = idx.cfg.seriesLength
+    val results = new KnnSet(knobs.k)
 
     def scanLeaf(leaf: Node): Unit = {
-      var i = leaf.filePos
-      while (i < leaf.filePos + leaf.leafSize) {
-        results.add(Dist.ed2Flat(q, idx.lrd, i * len, results.bsf), idx.ids(i))
-        i += 1
-      }
-      stats.seriesAccessed.addAndGet(leaf.leafSize)
+      ExactKnn.scanLeaf(idx, q, leaf, results, stats)
       stats.leavesVisited.incrementAndGet()
     }
 

@@ -28,7 +28,7 @@ final class ParISIndex(
     val nSeries: Int,
     val isax: ISax,
     val groups: Map[Int, Array[Int]],
-) extends Serializable {
+) extends KnnIndex {
 
   private def keyOf(word: Array[Byte], off: Int): Int = {
     var key = 0
@@ -40,9 +40,11 @@ final class ParISIndex(
     key
   }
 
-  /** Exact k-NN via parallel SIMS (summary scan + file-order refinement). */
-  def knn(q: Array[Float], k: Int, threads: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
-    val results = new KnnSet(k)
+  /** Exact k-NN via parallel SIMS (summary scan + file-order refinement) on
+    * `knobs.threads`.
+    */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
+    val results = new KnnSet(knobs.k)
     val paaQ = isax.paa(q)
     val qWord = new Array[Byte](isax.segments)
     var i = 0
@@ -63,7 +65,7 @@ final class ParISIndex(
     stats.seriesAccessed.addAndGet(cap)
 
     // SIMS filtering: parallel LB_SAX over every summary in LSDFile.
-    val t = math.max(1, threads)
+    val t = knobs.threads
     val locals = Array.fill(t)(new ArrayBuffer[(Int, Double)])
     val block = 4096
     val nBlocks = (nSeries + block - 1) / block

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Dist, KnnSet, Neighbor, QueryStats}
+import repro.core.{Dist, IndexConfig, KnnIndex, KnnSet, Neighbor, QueryKnobs, QueryStats}
 
 /** VA+file baseline (§2): a skip-sequential filter file over a 16-dimension
   * real-DFT transform of each series, with per-dimension equi-depth scalar
@@ -17,18 +17,20 @@ import repro.core.{Dist, KnnSet, Neighbor, QueryStats}
   */
 final class VAFile(
     val len: Int,
-    val dims: Int,
     val lrd: Array[Float],
     val ids: Array[Long],
     val nSeries: Int,
     val boundaries: Array[Array[Double]], // per dim: cells+1 edges (±∞ at ends)
     val cells: Array[Byte],               // per series × dim: cell index
-) extends Serializable {
+) extends KnnIndex {
+  import VAFile.Dims
 
-  /** Exact k-NN: seed BSF, then filter + refine skip-sequentially. */
-  def knn(q: Array[Float], k: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
-    val results = new KnnSet(k)
-    val qf = VAFile.transform(q, dims)
+  /** Exact k-NN: seed BSF, then filter + refine skip-sequentially (one
+    * thread, reads `knobs.k` only).
+    */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
+    val results = new KnnSet(knobs.k)
+    val qf = VAFile.transform(q)
     val seed = math.min(256, nSeries)
     var i = 0
     while (i < seed) {
@@ -41,8 +43,8 @@ final class VAFile(
     while (i < nSeries) {
       var lb2 = 0.0
       var d = 0
-      val base = i * dims
-      while (d < dims) {
+      val base = i * Dims
+      while (d < Dims) {
         val c = cells(base + d) & 0xff
         val lo = boundaries(d)(c)
         val hi = boundaries(d)(c + 1)
@@ -64,6 +66,9 @@ final class VAFile(
 }
 
 object VAFile {
+  /** Transform dimensions kept per series. */
+  final val Dims = 16
+
   /** Quantization cells per dimension (8 bits, as 16 symbols × 16 dims ≈
     * the same summary budget as iSAX 16×256).
     */
@@ -72,9 +77,9 @@ object VAFile {
   /** Orthonormal real-DFT features (c0, a1, b1, a2, b2, …) padded with zeros
     * when the series is too short for a harmonic (`2k < n` required).
     */
-  def transform(s: Array[Float], dims: Int): Array[Double] = {
+  def transform(s: Array[Float]): Array[Double] = {
     val n = s.length
-    val out = new Array[Double](dims)
+    val out = new Array[Double](Dims)
     var sum = 0.0
     var j = 0
     while (j < n) { sum += s(j); j += 1 }
@@ -82,14 +87,14 @@ object VAFile {
     var d = 1
     var k = 1
     val scale = math.sqrt(2.0 / n)
-    while (d < dims && 2 * k < n) {
+    while (d < Dims && 2 * k < n) {
       var a = 0.0
       var b = 0.0
       val w = 2.0 * math.Pi * k / n
       j = 0
       while (j < n) { a += s(j) * math.cos(w * j); b += s(j) * math.sin(w * j); j += 1 }
       out(d) = a * scale
-      if (d + 1 < dims) out(d + 1) = b * scale
+      if (d + 1 < Dims) out(d + 1) = b * scale
       d += 2
       k += 1
     }
@@ -97,21 +102,22 @@ object VAFile {
   }
 
   /** Build the VA+file: transform, fit equi-depth boundaries, quantize. */
-  def build(idsIn: Array[Long], data: Array[Array[Float]], len: Int, dims: Int = 16): VAFile = {
+  def build(idsIn: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): VAFile = {
+    val len = cfg.seriesLength
     val n = data.length
-    val feats = new Array[Double](n * dims)
+    val feats = new Array[Double](n * Dims)
     val lrd = new Array[Float](n * len)
     var i = 0
     while (i < n) {
       System.arraycopy(data(i), 0, lrd, i * len, len)
-      System.arraycopy(transform(data(i), dims), 0, feats, i * dims, dims)
+      System.arraycopy(transform(data(i)), 0, feats, i * Dims, Dims)
       i += 1
     }
     val cells = math.min(CellsPerDim, math.max(2, n))
-    val boundaries = Array.tabulate(dims) { d =>
+    val boundaries = Array.tabulate(Dims) { d =>
       val col = new Array[Double](n)
       var r = 0
-      while (r < n) { col(r) = feats(r * dims + d); r += 1 }
+      while (r < n) { col(r) = feats(r * Dims + d); r += 1 }
       java.util.Arrays.sort(col)
       val edges = new Array[Double](cells + 1)
       edges(0) = Double.NegativeInfinity
@@ -120,12 +126,12 @@ object VAFile {
       while (c < cells) { edges(c) = col((c.toLong * n / cells).toInt); c += 1 }
       edges
     }
-    val cellIdx = new Array[Byte](n * dims)
+    val cellIdx = new Array[Byte](n * Dims)
     i = 0
     while (i < n) {
       var d = 0
-      while (d < dims) {
-        val v = feats(i * dims + d)
+      while (d < Dims) {
+        val v = feats(i * Dims + d)
         val edges = boundaries(d)
         // cell c such that edges(c) <= v <= edges(c+1)
         var lo = 0
@@ -134,11 +140,11 @@ object VAFile {
           val mid = (lo + hi + 1) >>> 1
           if (edges(mid) <= v) lo = mid else hi = mid - 1
         }
-        cellIdx(i * dims + d) = lo.toByte
+        cellIdx(i * Dims + d) = lo.toByte
         d += 1
       }
       i += 1
     }
-    new VAFile(len, dims, lrd, idsIn.clone(), n, boundaries, cellIdx)
+    new VAFile(len, lrd, idsIn.clone(), n, boundaries, cellIdx)
   }
 }

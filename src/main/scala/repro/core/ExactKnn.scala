@@ -32,17 +32,6 @@ object ExactKnn {
     val pq = new java.util.PriorityQueue[PQE](64, byLb)
     pq.add(PQE(idx.root, math.sqrt(Eapca.lb2(qc, idx.root))))
 
-    def scanLeafReal(leaf: Node): Unit = {
-      var i = leaf.filePos
-      val end = leaf.filePos + leaf.leafSize
-      while (i < end) {
-        val d = Dist.ed2Flat(q, idx.lrd, i * len, results.bsf)
-        results.add(d, idx.ids(i))
-        i += 1
-      }
-      stats.seriesAccessed.addAndGet(leaf.leafSize)
-    }
-
     // ---- Step 1: Approx-kNN (Algorithm 11) ----
     var visited = 0
     var exactDone = false
@@ -50,7 +39,7 @@ object ExactKnn {
       val e = pq.poll()
       if (e.lb > math.sqrt(results.bsf)) exactDone = true // everything else is farther
       else if (e.node.isLeaf) {
-        scanLeafReal(e.node)
+        scanLeaf(idx, q, e.node, results, stats)
         visited += 1
         stats.leavesVisited.incrementAndGet()
       } else {
@@ -76,7 +65,11 @@ object ExactKnn {
     stats.candidateLeaves = lcSorted.size
     val eapcaPr = 1.0 - lcSorted.size.toDouble / math.max(1, idx.totalLeaves)
     if (knobs.useThresholds && eapcaPr < knobs.eapcaTh) {
-      skipSeqLeaves(idx, q, lcSorted, results, stats)
+      // Skip-sequential scan in LRDFile order, re-checking each leaf's bound
+      // against the evolving BSF.
+      lcSorted.foreach { case (leaf, lb) =>
+        if (lb * lb < results.bsf) scanLeaf(idx, q, leaf, results, stats)
+      }
       stats.skipSeqEapca = true
       return results.toArray
     }
@@ -148,24 +141,18 @@ object ExactKnn {
     if (lb < math.sqrt(results.bsf)) pq.add(PQE(child, lb))
   }
 
-  /** Single-thread skip-sequential scan over candidate leaves in LRDFile
-    * order, re-checking each leaf's bound against the evolving BSF.
+  /** Single-thread real-distance scan of every series of `leaf` against the
+    * evolving BSF; counts the leaf's series as accessed.
     */
-  private def skipSeqLeaves(idx: HerculesIndex, q: Array[Float],
-                            lcSorted: ArrayBuffer[(Node, Double)],
-                            results: KnnSet, stats: QueryStats): Unit = {
+  def scanLeaf(idx: HerculesIndex, q: Array[Float], leaf: Node, results: KnnSet, stats: QueryStats): Unit = {
     val len = idx.cfg.seriesLength
-    lcSorted.foreach { case (leaf, lb) =>
-      if (lb * lb < results.bsf) {
-        var i = leaf.filePos
-        while (i < leaf.filePos + leaf.leafSize) {
-          val d = Dist.ed2Flat(q, idx.lrd, i * len, results.bsf)
-          results.add(d, idx.ids(i))
-          i += 1
-        }
-        stats.seriesAccessed.addAndGet(leaf.leafSize)
-      }
+    var i = leaf.filePos
+    val end = leaf.filePos + leaf.leafSize
+    while (i < end) {
+      results.add(Dist.ed2Flat(q, idx.lrd, i * len, results.bsf), idx.ids(i))
+      i += 1
     }
+    stats.seriesAccessed.addAndGet(leaf.leafSize)
   }
 
   /** Single-thread skip-sequential scan over candidate series positions. */

@@ -1,14 +1,9 @@
 package repro.core
 
-import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
-import java.nio.file.Path
-
 /** A materialized Hercules index: the tree (HTree), the raw series in
   * inorder-leaf order (LRDFile), and their iSAX words in the same order
   * (LSDFile). In this reproduction the two "files" are flat in-memory arrays
-  * (DESIGN.md §3 — the disk substrate is substituted by access counters);
-  * `save`/`load` materialize the whole index to an actual on-disk file for
-  * the two-stage build→query pipeline of the jobs.
+  * (DESIGN.md §3 — the disk substrate is substituted by access counters).
   */
 final class HerculesIndex(
     val cfg: IndexConfig,
@@ -17,7 +12,7 @@ final class HerculesIndex(
     val ids: Array[Long],
     val lsd: Array[Byte],
     val nSeries: Int,
-) extends Serializable {
+) extends KnnIndex {
 
   /** iSAX codec matching LSDFile (rebuilt after deserialization). */
   @transient lazy val isax: ISax = ISax(cfg)
@@ -29,25 +24,11 @@ final class HerculesIndex(
   def totalLeaves: Int = leaves.length
 
   /** Exact k-NN (Algorithm 10). */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats = new QueryStats): Array[Neighbor] =
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
     ExactKnn.search(this, q, knobs, stats)
-
-  /** Serialize the whole index to `path` (HTree+LRDFile+LSDFile in one). */
-  def save(path: Path): Unit = {
-    val out = new ObjectOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile)))
-    try out.writeObject(this)
-    finally out.close()
-  }
 }
 
 object HerculesIndex {
-
-  /** Load an index previously written by [[HerculesIndex.save]]. */
-  def load(path: Path): HerculesIndex = {
-    val in = new ObjectInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
-    try in.readObject().asInstanceOf[HerculesIndex]
-    finally in.close()
-  }
 
   /** One-call build pipeline: parallel build + index writing. */
   def build(ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig,

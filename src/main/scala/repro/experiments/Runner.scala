@@ -116,5 +116,5 @@ object Runner {
   }
 
   /** All method names, Hercules first. */
-  def allMethods: Seq[String] = LocalIndex.Methods
+  def allMethods: Seq[String] = LocalIndex.builders.keys.toSeq
 }

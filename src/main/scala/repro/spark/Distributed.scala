@@ -58,7 +58,7 @@ object Distributed {
       .rdd
       .mapPartitions { it =>
         val arr = it.toArray
-        Iterator.single(LocalIndex.build(method, arr.map(_._1), arr.map(_._2), cfg): LocalIndex)
+        Iterator.single(LocalIndex.build(method, arr.map(_._1), arr.map(_._2), cfg))
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
     rdd.count()

@@ -1,73 +1,45 @@
 package repro.spark
 
+import scala.collection.immutable.ListMap
 import repro.baselines.{DSTreeIndex, ParISIndex, Pscan, VAFile}
 import repro.core._
 
 /** One partition's self-contained similarity-search structure — the unit the
   * paper's single-node methods map onto under the per-partition Spark design
-  * (DESIGN.md §2). Each implementation wraps one core method; `knn` must be
-  * exact within the partition, so the driver-side top-k merge is exact
-  * globally.
+  * (DESIGN.md §2). `index.knn` is exact within the partition, so the
+  * driver-side top-k merge is exact globally.
+  *
+  * @param method  the name `index` was built under (a key of [[LocalIndex.builders]])
+  * @param buildMs wall-clock build time of this partition's structure, in ms
   */
-sealed trait LocalIndex extends Serializable {
+final case class LocalIndex(method: String, index: KnnIndex, buildMs: Double) {
   /** Series indexed in this partition. */
-  def nSeries: Long
-  /** Wall-clock build time of this partition's structure, in ms. */
-  def buildMs: Double
+  def nSeries: Long = index.nSeries
+
   /** Exact within-partition k-NN; `stats` accumulates access counters. */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor]
-}
-
-/** Hercules partition: the full index + adaptive 4-step search. */
-final case class HerculesLocal(idx: HerculesIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs, stats)
-}
-
-/** DSTree* partition (single-threaded sequential-tree baseline). */
-final case class DSTreeLocal(idx: DSTreeIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, stats)
-}
-
-/** ParIS+ partition (summary-array SIMS baseline). */
-final case class ParISLocal(idx: ParISIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, knobs.threads, stats)
-}
-
-/** VA+file partition (skip-sequential filter-file baseline). */
-final case class VAFileLocal(idx: VAFile, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, stats)
-}
-
-/** PSCAN partition (optimized parallel scan baseline). */
-final case class PscanLocal(idx: Pscan, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, knobs.threads, stats)
+    index.knn(q, knobs, stats)
 }
 
 object LocalIndex {
-  /** Method names accepted by [[build]] (and the benches/jobs). */
-  val Methods: Seq[String] = Seq("hercules", "dstree", "paris", "vafile", "pscan")
+  type Builder = (Array[Long], Array[Array[Float]], IndexConfig) => KnnIndex
+
+  /** Every method by name, Hercules first: the names the benches and jobs
+    * accept.
+    */
+  val builders: ListMap[String, Builder] = ListMap(
+    "hercules" -> (HerculesIndex.build(_, _, _)),
+    "dstree"   -> DSTreeIndex.build,
+    "paris"    -> ParISIndex.build,
+    "vafile"   -> VAFile.build,
+    "pscan"    -> Pscan.build,
+  )
 
   /** Build one partition's structure for `method` over materialized series. */
   def build(method: String, ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): LocalIndex = {
+    val builder = builders.getOrElse(method, throw new IllegalArgumentException(s"unknown method: $method"))
     val t0 = System.nanoTime()
-    def ms: Double = (System.nanoTime() - t0) / 1e6
-    method match {
-      case "hercules" => val i = HerculesIndex.build(ids, data, cfg); HerculesLocal(i, ms)
-      case "dstree"   => val i = DSTreeIndex.build(ids, data, cfg); DSTreeLocal(i, ms)
-      case "paris"    => val i = ParISIndex.build(ids, data, cfg); ParISLocal(i, ms)
-      case "vafile"   => val i = VAFile.build(ids, data, cfg.seriesLength); VAFileLocal(i, ms)
-      case "pscan"    => val i = Pscan.build(ids, data, cfg.seriesLength); PscanLocal(i, ms)
-      case other      => throw new IllegalArgumentException(s"unknown method: $other")
-    }
+    val index = builder(ids, data, cfg)
+    LocalIndex(method, index, (System.nanoTime() - t0) / 1e6)
   }
 }

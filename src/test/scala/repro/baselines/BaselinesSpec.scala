@@ -15,20 +15,20 @@ class BaselinesSpec extends AnyFunSuite {
   private lazy val fixtures: Map[String, (Array[Long], Array[Array[Float]])] =
     Seq("walk", "deep").map(kind => kind -> TestUtil.dataset(n, len, 31, kind)).toMap
 
-  private lazy val pscans = fixtures.map { case (k, (ids, data)) => k -> Pscan.build(ids, data, len) }
+  private lazy val pscans = fixtures.map { case (k, (ids, data)) => k -> Pscan.build(ids, data, TestUtil.cfg(len)) }
   private lazy val dstrees = fixtures.map { case (k, (ids, data)) =>
     k -> DSTreeIndex.build(ids, data, TestUtil.cfg(len, 16))
   }
   private lazy val pariss = fixtures.map { case (k, (ids, data)) =>
     k -> ParISIndex.build(ids, data, TestUtil.cfg(len, 16))
   }
-  private lazy val vafiles = fixtures.map { case (k, (ids, data)) => k -> VAFile.build(ids, data, len) }
+  private lazy val vafiles = fixtures.map { case (k, (ids, data)) => k -> VAFile.build(ids, data, TestUtil.cfg(len)) }
 
   for (kind <- Seq("walk", "deep"); wl <- Seq("1%", "5%", "ood"); k <- Seq(1, 5))
     test(s"PSCAN exact ($kind/$wl k=$k)") {
       val (ids, data) = fixtures(kind)
       SeriesGen.queries(kind, wl, 3, n, len, 31).zipWithIndex.foreach { case (q, qi) =>
-        TestUtil.assertExact(ids, data, q, k, pscans(kind).knn(q, k, 4), s"pscan $qi")
+        TestUtil.assertExact(ids, data, q, k, pscans(kind).knn(q, QueryKnobs(k = k, threads = 4)), s"pscan $qi")
       }
     }
 
@@ -36,7 +36,7 @@ class BaselinesSpec extends AnyFunSuite {
     test(s"DSTree* exact ($kind/$wl k=$k)") {
       val (ids, data) = fixtures(kind)
       SeriesGen.queries(kind, wl, 3, n, len, 31).zipWithIndex.foreach { case (q, qi) =>
-        TestUtil.assertExact(ids, data, q, k, dstrees(kind).knn(q, k), s"dstree $qi")
+        TestUtil.assertExact(ids, data, q, k, dstrees(kind).knn(q, QueryKnobs(k = k)), s"dstree $qi")
       }
     }
 
@@ -44,7 +44,7 @@ class BaselinesSpec extends AnyFunSuite {
     test(s"ParIS+ exact ($kind/$wl k=$k)") {
       val (ids, data) = fixtures(kind)
       SeriesGen.queries(kind, wl, 3, n, len, 31).zipWithIndex.foreach { case (q, qi) =>
-        TestUtil.assertExact(ids, data, q, k, pariss(kind).knn(q, k, 3), s"paris $qi")
+        TestUtil.assertExact(ids, data, q, k, pariss(kind).knn(q, QueryKnobs(k = k, threads = 3)), s"paris $qi")
       }
     }
 
@@ -52,16 +52,16 @@ class BaselinesSpec extends AnyFunSuite {
     test(s"VA+file exact ($kind/$wl k=$k)") {
       val (ids, data) = fixtures(kind)
       SeriesGen.queries(kind, wl, 3, n, len, 31).zipWithIndex.foreach { case (q, qi) =>
-        TestUtil.assertExact(ids, data, q, k, vafiles(kind).knn(q, k), s"vafile $qi")
+        TestUtil.assertExact(ids, data, q, k, vafiles(kind).knn(q, QueryKnobs(k = k)), s"vafile $qi")
       }
     }
 
   test("VAFile DFT transform lower-bounds the true distance") {
     val data = SeriesGen.dataset("walk", 30, len, 5)
     val q = SeriesGen.dataset("walk", 1, len, 6)(0)
-    val qf = VAFile.transform(q, 16)
+    val qf = VAFile.transform(q)
     data.foreach { s =>
-      val sf = VAFile.transform(s, 16)
+      val sf = VAFile.transform(s)
       val featDist = qf.zip(sf).map { case (a, b) => (a - b) * (a - b) }.sum
       assert(featDist <= Dist.ed2(q, s) + 1e-6)
     }
@@ -69,7 +69,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("VAFile transform preserves energy ordering (Parseval sanity)") {
     val s = SeriesGen.dataset("walk", 1, 64, 8)(0)
-    val f = VAFile.transform(s, 16)
+    val f = VAFile.transform(s)
     val featEnergy = f.map(x => x * x).sum
     val fullEnergy = s.map(x => x.toDouble * x).sum
     assert(featEnergy <= fullEnergy + 1e-6)
@@ -80,9 +80,9 @@ class BaselinesSpec extends AnyFunSuite {
     val (ids, data) = fixtures("walk")
     val va = vafiles("walk")
     for (i <- 0 until 50) {
-      val f = VAFile.transform(data(i), va.dims)
-      for (d <- 0 until va.dims) {
-        val c = va.cells(i * va.dims + d) & 0xff
+      val f = VAFile.transform(data(i))
+      for (d <- 0 until VAFile.Dims) {
+        val c = va.cells(i * VAFile.Dims + d) & 0xff
         assert(f(d) >= va.boundaries(d)(c) - 1e-9)
         assert(f(d) <= va.boundaries(d)(c + 1) + 1e-9)
       }
@@ -97,7 +97,7 @@ class BaselinesSpec extends AnyFunSuite {
   test("ParIS+ handles a query landing in an empty subtree") {
     val (ids, data) = fixtures("deep")
     val far = Array.fill(len)(0f) // all-zero z-normed vector: likely empty key
-    val res = pariss("deep").knn(Stats.znorm(far.map(_ + 1f)), 3, 2)
+    val res = pariss("deep").knn(Stats.znorm(far.map(_ + 1f)), QueryKnobs(k = 3, threads = 2))
     TestUtil.assertExact(ids, data, Stats.znorm(far.map(_ + 1f)), 3, res, "empty subtree")
   }
 
@@ -105,7 +105,7 @@ class BaselinesSpec extends AnyFunSuite {
     val (_, data) = fixtures("walk")
     val st = new QueryStats
     val q = SeriesGen.queries("walk", "1%", 1, n, len, 31)(0)
-    dstrees("walk").knn(q, 1, st)
+    dstrees("walk").knn(q, QueryKnobs(k = 1), st)
     assert(st.seriesAccessed.get < n, s"accessed ${st.seriesAccessed.get} of $n")
   }
 

@@ -18,22 +18,14 @@ class DistSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 6)
-    test(s"ed2EarlyAbandon with infinite bound equals ed2 (seed $seed)") {
-      val rng = new Random(seed)
-      val a = Array.fill(50)(rng.nextFloat())
-      val b = Array.fill(50)(rng.nextFloat())
-      assert(Dist.ed2EarlyAbandon(a, b, Double.PositiveInfinity) == Dist.ed2(a, b))
-    }
-
-  for (seed <- 1 to 6)
-    test(s"ed2EarlyAbandon abandoned value exceeds the bound (seed $seed)") {
+    test(s"ed2Flat abandoned value exceeds the bound (seed $seed)") {
       val rng = new Random(100 + seed)
       val a = Array.fill(64)(rng.nextFloat() * 10)
       val b = Array.fill(64)(-rng.nextFloat() * 10)
       val full = Dist.ed2(a, b)
       val bound = full / 4
-      val r = Dist.ed2EarlyAbandon(a, b, bound)
-      assert(r > bound)
+      val r = Dist.ed2Flat(a, b, 0, bound)
+      assert(r > bound && r < full, s"$r should abandon early, past $bound but short of $full")
     }
 
   for (seed <- 1 to 6)

@@ -3,11 +3,12 @@ package repro.spark
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
-import repro.core.{IndexConfig, QueryKnobs, SeriesGen}
+import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, SeriesGen}
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
-  * counts must not change answers, and save/load must round-trip.
+  * counts must not change answers, and save/load must round-trip for every
+  * method.
   */
 class DistributedSpec extends SparkSpec {
 
@@ -42,7 +43,7 @@ class DistributedSpec extends SparkSpec {
        |QUALIFY row_number() OVER (PARTITION BY qid ORDER BY d2, sid) <= $kk
        |""".stripMargin
 
-  for (method <- LocalIndex.Methods)
+  for (method <- LocalIndex.builders.keys)
     test(s"$method distributed kNN matches the DuckDB oracle") {
       val built = Distributed.build(df, method, cfg, Runner.partitions(method))
       try {
@@ -84,21 +85,34 @@ class DistributedSpec extends SparkSpec {
   }
 
   test("save/load round-trips the per-partition indexes") {
-    val dir = Files.createTempDirectory("hercules-dist").toString
-    val built = Distributed.build(df, "hercules", cfg, 3)
-    try {
-      Distributed.saveToDir(built, dir)
-      val loaded = Distributed.loadFromDir(spark, dir)
+    for (method <- LocalIndex.builders.keys) {
+      val dir = Files.createTempDirectory(s"hercules-dist-$method").toString
+      val built = Distributed.build(df, method, cfg, 3)
       try {
-        assert(loaded.partitions == 3)
-        assert(loaded.totalSeries == n)
-        val a = Distributed.knnBatch(built, queries, knobs).neighbors
-        val b = Distributed.knnBatch(loaded, queries, knobs).neighbors
-        a.zip(b).foreach { case (x, y) =>
-          assert(x.map(v => (v.id, v.dist2)).toSeq == y.map(v => (v.id, v.dist2)).toSeq)
-        }
-      } finally loaded.unpersist()
-    } finally built.unpersist()
+        Distributed.saveToDir(built, dir)
+        val loaded = Distributed.loadFromDir(spark, dir)
+        try {
+          assert(loaded.partitions == 3)
+          assert(loaded.totalSeries == n)
+          val a = Distributed.knnBatch(built, queries, knobs).neighbors
+          val b = Distributed.knnBatch(loaded, queries, knobs).neighbors
+          a.zip(b).foreach { case (x, y) =>
+            assert(x.map(v => (v.id, v.dist2)).toSeq == y.map(v => (v.id, v.dist2)).toSeq, method)
+          }
+          built.rdd.collect().zip(loaded.rdd.collect()).foreach { case (x, y) =>
+            assert(y.method == method && y.nSeries == x.nSeries)
+            (x.index, y.index) match {
+              case (xi: HerculesIndex, yi: HerculesIndex) =>
+                assert(yi.leaves.map(_.filePos) == xi.leaves.map(_.filePos))
+                assert(yi.leaves.map(_.leafSize) == xi.leaves.map(_.leafSize))
+                assert(yi.ids.toSeq == xi.ids.toSeq)
+                assert(yi.lsd.toSeq == xi.lsd.toSeq)
+              case _ =>
+            }
+          }
+        } finally loaded.unpersist()
+      } finally built.unpersist()
+    }
   }
 
   test("ood queries against a larger k also match the oracle (hercules)") {
