@@ -17,36 +17,21 @@ final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
 
   /** Exact k-NN (DSTree's search; one thread, reads `knobs.k` only). */
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val qc = new SeriesCtx(q)
-    val results = new KnnSet(knobs.k)
-
+    val refiner = new Refiner(idx, q, knobs.k, stats)
     def scanLeaf(leaf: Node): Unit = {
-      ExactKnn.scanLeaf(idx, q, leaf, results, stats)
+      refiner.scan(Vector(leaf.positions))
       stats.leavesVisited.incrementAndGet()
     }
 
     // Approximate answer: descend the split policies to the home leaf.
-    var home = idx.root
-    while (!home.isLeaf) home = if (home.split.goesLeft(q)) home.left else home.right
+    val home = idx.root.leafFor(q)
     scanLeaf(home)
 
     // Exact traversal.
-    val pq = new java.util.PriorityQueue[(Node, Double)](64,
-      (a: (Node, Double), b: (Node, Double)) => java.lang.Double.compare(a._2, b._2))
-    pq.add((idx.root, math.sqrt(Eapca.lb2(qc, idx.root))))
-    var done = false
-    while (!done && !pq.isEmpty) {
-      val (node, lb) = pq.poll()
-      if (lb > math.sqrt(results.bsf)) done = true
-      else if (node.isLeaf) { if (node ne home) scanLeaf(node) }
-      else {
-        Seq(node.left, node.right).foreach { c =>
-          val clb = math.sqrt(Eapca.lb2(qc, c))
-          if (clb < math.sqrt(results.bsf)) pq.add((c, clb))
-        }
-      }
-    }
-    results.toArray
+    val pq = new EapcaQueue(new SeriesCtx(q), refiner.results)
+    pq.push(idx.root)
+    pq.run { (leaf, _) => if (leaf ne home) scanLeaf(leaf); true }
+    refiner.results.toArray
   }
 }
 

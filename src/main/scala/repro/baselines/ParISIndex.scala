@@ -1,6 +1,5 @@
 package repro.baselines
 
-import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable.ArrayBuffer
 import repro.core._
 
@@ -28,7 +27,7 @@ final class ParISIndex(
     val nSeries: Int,
     val isax: ISax,
     val groups: Map[Int, Array[Int]],
-) extends KnnIndex {
+) extends KnnIndex with FlatSeries {
 
   private def keyOf(word: Array[Byte], off: Int): Int = {
     var key = 0
@@ -44,7 +43,7 @@ final class ParISIndex(
     * `knobs.threads`.
     */
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val results = new KnnSet(knobs.k)
+    val refiner = new Refiner(this, q, knobs.k, stats)
     val paaQ = isax.paa(q)
     val qWord = new Array[Byte](isax.segments)
     var i = 0
@@ -55,59 +54,18 @@ final class ParISIndex(
     // group by Hamming distance on the top bits when the exact one is empty).
     val group = groups.getOrElse(qKey,
       groups.minByOption { case (key, _) => Integer.bitCount(key ^ qKey) }.map(_._2).getOrElse(Array.empty[Int]))
-    val cap = math.min(group.length, 4096)
-    i = 0
-    while (i < cap) {
-      val posI = group(i)
-      results.add(Dist.ed2Flat(q, lrd, posI * len, results.bsf), ids(posI))
-      i += 1
-    }
-    stats.seriesAccessed.addAndGet(cap)
+    refiner.scan(Vector(0 until math.min(group.length, 4096)), at = group)
 
     // SIMS filtering: parallel LB_SAX over every summary in LSDFile.
     val t = knobs.threads
-    val locals = Array.fill(t)(new ArrayBuffer[(Int, Double)])
-    val block = 4096
-    val nBlocks = (nSeries + block - 1) / block
-    val cursor = new AtomicInteger(0)
-    Par.run(t) { tid =>
-      var checked = 0L
-      var b = cursor.getAndIncrement()
-      while (b < nBlocks) {
-        val bound = results.bsfSync
-        var j = b * block
-        val end = math.min(nSeries, j + block)
-        while (j < end) {
-          val lb2 = isax.lbSax2(paaQ, lsd, j * isax.segments)
-          checked += 1
-          if (lb2 < bound) locals(tid) += ((j, lb2))
-          j += 1
-        }
-        b = cursor.getAndIncrement()
-      }
-      stats.saxChecked.addAndGet(checked)
-    }
-    val candidates = locals.iterator.flatten.toArray.sortBy(_._1)
+    val found = refiner.filter(FlatSeries.blocks(nSeries, 4096), t)((_, j) => isax.lbSax2(paaQ, lsd, j * isax.segments))
+    stats.saxChecked.addAndGet(nSeries)
+    val candidates = Refiner.inOrder(found)
     stats.candidateSeries = candidates.length
 
     // Refinement in file order (parallel chunks, shared BSF).
-    val chunk = math.max(1, (candidates.length + t - 1) / t)
-    Par.run(t) { tid =>
-      var accessed = 0L
-      var j = tid * chunk
-      val end = math.min(candidates.length, j + chunk)
-      while (j < end) {
-        val (posJ, lb2) = candidates(j)
-        if (lb2 < results.bsfSync) {
-          val d = Dist.ed2Flat(q, lrd, posJ * len, results.bsfSync)
-          accessed += 1
-          results.addSync(d, ids(posJ))
-        }
-        j += 1
-      }
-      stats.seriesAccessed.addAndGet(accessed)
-    }
-    results.toArray
+    refiner.refine(candidates.grouped(math.max(1, (candidates.length + t - 1) / t)).toVector)
+    refiner.results.toArray
   }
 }
 
@@ -118,12 +76,11 @@ object ParISIndex {
     val len = cfg.seriesLength
     val isax = ISax(cfg)
     val n = data.length
-    val lrd = new Array[Float](n * len)
+    val lrd = FlatSeries.pack(data, len)
     val lsd = new Array[Byte](n * isax.segments)
     val grouped = new java.util.HashMap[Int, ArrayBuffer[Int]]
     var i = 0
     while (i < n) {
-      System.arraycopy(data(i), 0, lrd, i * len, len)
       val w = isax.word(data(i))
       System.arraycopy(w, 0, lsd, i * isax.segments, isax.segments)
       var key = 0

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Dist, IndexConfig, KnnIndex, KnnSet, Neighbor, QueryKnobs, QueryStats}
+import repro.core.{FlatSeries, IndexConfig, KnnIndex, Neighbor, QueryKnobs, QueryStats, Refiner}
 
 /** VA+file baseline (§2): a skip-sequential filter file over a 16-dimension
   * real-DFT transform of each series, with per-dimension equi-depth scalar
@@ -22,25 +22,18 @@ final class VAFile(
     val nSeries: Int,
     val boundaries: Array[Array[Double]], // per dim: cells+1 edges (±∞ at ends)
     val cells: Array[Byte],               // per series × dim: cell index
-) extends KnnIndex {
+) extends KnnIndex with FlatSeries {
   import VAFile.Dims
 
   /** Exact k-NN: seed BSF, then filter + refine skip-sequentially (one
     * thread, reads `knobs.k` only).
     */
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val results = new KnnSet(knobs.k)
+    val refiner = new Refiner(this, q, knobs.k, stats)
     val qf = VAFile.transform(q)
     val seed = math.min(256, nSeries)
-    var i = 0
-    while (i < seed) {
-      results.add(Dist.ed2Flat(q, lrd, i * len, results.bsf), ids(i))
-      i += 1
-    }
-    stats.seriesAccessed.addAndGet(seed)
-    var accessed = 0L
-    i = 0
-    while (i < nSeries) {
+    refiner.scan(Vector(0 until seed))
+    refiner.refine(refiner.filter(Vector(seed until nSeries), 1) { (_, i) =>
       var lb2 = 0.0
       var d = 0
       val base = i * Dims
@@ -53,15 +46,9 @@ final class VAFile(
         lb2 += gap * gap
         d += 1
       }
-      if (lb2 < results.bsf && i >= seed) {
-        val dist = Dist.ed2Flat(q, lrd, i * len, results.bsf)
-        accessed += 1
-        results.add(dist, ids(i))
-      }
-      i += 1
-    }
-    stats.seriesAccessed.addAndGet(accessed)
-    results.toArray
+      lb2
+    })
+    refiner.results.toArray
   }
 }
 
@@ -106,14 +93,9 @@ object VAFile {
     val len = cfg.seriesLength
     val n = data.length
     val feats = new Array[Double](n * Dims)
-    val lrd = new Array[Float](n * len)
     var i = 0
-    while (i < n) {
-      System.arraycopy(data(i), 0, lrd, i * len, len)
-      System.arraycopy(transform(data(i)), 0, feats, i * Dims, Dims)
-      i += 1
-    }
-    val cells = math.min(CellsPerDim, math.max(2, n))
+    while (i < n) { System.arraycopy(transform(data(i)), 0, feats, i * Dims, Dims); i += 1 }
+    val cells = math.min(CellsPerDim, math.max(1, n))
     val boundaries = Array.tabulate(Dims) { d =>
       val col = new Array[Double](n)
       var r = 0
@@ -145,6 +127,6 @@ object VAFile {
       }
       i += 1
     }
-    new VAFile(len, lrd, idsIn.clone(), n, boundaries, cellIdx)
+    new VAFile(len, FlatSeries.pack(data, len), idsIn.clone(), n, boundaries, cellIdx)
   }
 }

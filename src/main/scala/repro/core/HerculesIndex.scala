@@ -12,7 +12,10 @@ final class HerculesIndex(
     val ids: Array[Long],
     val lsd: Array[Byte],
     val nSeries: Int,
-) extends KnnIndex {
+) extends KnnIndex with FlatSeries {
+
+  /** Points per series. */
+  def len: Int = cfg.seriesLength
 
   /** iSAX codec matching LSDFile (rebuilt after deserialization). */
   @transient lazy val isax: ISax = ISax(cfg)

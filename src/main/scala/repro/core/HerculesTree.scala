@@ -189,22 +189,13 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
 
   private def newNode(ends: Array[Int]): Node = new Node(ends, nextId.getAndIncrement())
 
-  /** Descend from `from` to the leaf that should hold `s` (no locks; relies
-    * on `isLeaf` volatile publication of splits).
-    */
-  def routeToLeaf(from: Node, s: Array[Float]): Node = {
-    var n = from
-    while (!n.isLeaf) n = if (n.split.goesLeft(s)) n.left else n.right
-    n
-  }
-
   /** Algorithm 5: route, lock the leaf, re-check leafness, append, and split
     * when full. Only the leaf is locked; internal synopses are deferred to
     * index writing (Hercules mode).
     */
   def insertConcurrent(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
     while (true) {
-      val leaf = routeToLeaf(root, s)
+      val leaf = root.leafFor(s)
       leaf.synchronized {
         if (leaf.isLeaf) {
           appendToLeaf(leaf, id, s, worker, store)

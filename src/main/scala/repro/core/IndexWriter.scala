@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable.ArrayBuffer
 
 /** Index writing (§3.3.3, Algorithms 6–9).
@@ -42,15 +41,9 @@ object IndexWriter {
     val isax = ISax(cfg)
     val lsd = if (computeSax) new Array[Byte](n * isax.segments) else null
 
-    val cursor = new AtomicInteger(0)
-    def processLeaves(): Unit = {
-      var j = cursor.getAndIncrement()
-      while (j < leaves.length) {
-        processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, updateSynopses)
-        j = cursor.getAndIncrement()
-      }
+    Par.claim(math.max(1, threads), leaves.length) { (_, j) =>
+      processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, updateSynopses)
     }
-    Par.run(math.max(1, threads))(_ => processLeaves())
 
     // WriteIndexTree: fix subtree counts (post-order) and drop build state.
     def finish(node: Node): Int =
@@ -133,18 +126,4 @@ object IndexWriter {
       }
     }
   }
-}
-
-/** Tiny shared thread-pool helper for the paper's worker-pool patterns. */
-object Par {
-  private lazy val pool = java.util.concurrent.Executors.newCachedThreadPool(
-    (r: Runnable) => { val t = new Thread(r, "repro-par"); t.setDaemon(true); t })
-
-  /** Run `body(0…threads-1)` concurrently and wait; inline when threads==1. */
-  def run(threads: Int)(body: Int => Unit): Unit =
-    if (threads <= 1) body(0)
-    else {
-      val futs = (0 until threads).map(t => pool.submit(new Runnable { def run(): Unit = body(t) }))
-      futs.foreach(_.get())
-    }
 }

@@ -1,8 +1,7 @@
 package repro.core
 
-/** One k-NN answer: a series id and its (non-squared) squared distance is
-  * kept internally as squared ED; `dist` exposes the squared value to keep
-  * comparisons exact — callers take `sqrt` for reporting.
+/** One k-NN answer: a series id and its squared Euclidean distance `dist2`,
+  * kept squared so comparisons stay exact; callers take `sqrt` to report.
   */
 final case class Neighbor(id: Long, dist2: Double)
 
@@ -10,9 +9,10 @@ final case class Neighbor(id: Long, dist2: Double)
   *
   * Keeps the k smallest (dist², id) pairs in sorted order; `bsf` is the kth
   * distance (+∞ until k answers exist). Ties break on id so all methods and
-  * the DuckDB oracle agree deterministically. `add` is not thread-safe; use
-  * `addSync` from parallel workers (updates are rare, contention is low —
-  * matching the paper's readers-writers lock on Results).
+  * the DuckDB oracle agree deterministically. `add` is not thread-safe;
+  * parallel workers use `addSync` and `bsfSync`, which share this object's
+  * one monitor, so every bound read also takes the lock (the paper's
+  * readers-writers lock on Results is not reproduced).
   */
 final class KnnSet(val k: Int) {
   private val d2 = Array.fill(k)(Double.PositiveInfinity)

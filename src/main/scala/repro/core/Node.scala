@@ -77,6 +77,18 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   var filePos: Int = -1
   var leafSize: Int = 0
 
+  /** LRDFile positions of a written leaf's series. */
+  def positions: Range = filePos until filePos + leafSize
+
+  /** The leaf of this subtree that the split policies route `s` to (no
+    * locks; relies on `isLeaf` volatile publication of splits).
+    */
+  def leafFor(s: Array[Float]): Node = {
+    var n = this
+    while (!n.isLeaf) n = if (n.split.goesLeft(s)) n.left else n.right
+    n
+  }
+
   /** Start of segment `i` of this node's segmentation. */
   def segStart(i: Int): Int = if (i == 0) 0 else ends(i - 1)
 

@@ -25,7 +25,7 @@ class TreeSpec extends AnyFunSuite {
       val (tree, store, data) = buildTree(300, 32, 16, seed)
       val stored = tree.root.leavesInorder.flatMap(l => store.gather(l)).toMap
       data.zipWithIndex.foreach { case (s, i) =>
-        val leaf = tree.routeToLeaf(tree.root, s)
+        val leaf = tree.root.leafFor(s)
         val members = store.gather(leaf).map(_._1).toSet
         assert(members.contains(i.toLong), s"series $i not in its routed leaf")
       }

@@ -3,6 +3,7 @@ package repro.spark
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
+import repro.baselines.BruteForce
 import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, SeriesGen}
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
@@ -58,6 +59,24 @@ class DistributedSpec extends SparkSpec {
     def partitions(method: String): Int = method match {
       case "dstree" | "vafile" => 1
       case _                   => 4
+    }
+  }
+
+  test("more partitions than rows: every method is exact with empty partitions") {
+    val tiny = SeriesFrames.dataset(spark, "walk", 5, len, seed)
+    val (ids, data) = (Array.tabulate(5)(_.toLong), SeriesGen.dataset("walk", 5, len, seed))
+    for (method <- LocalIndex.builders.keys) {
+      val built = Distributed.build(tiny, method, cfg, 8)
+      try {
+        assert(built.totalSeries == 5)
+        for (kk <- Seq(3, 10)) {
+          val res = Distributed.knnBatch(built, queries, knobs.copy(k = kk))
+          queries.indices.foreach { qi =>
+            val expect = BruteForce.knn(ids, data, queries(qi), kk).map(nb => (nb.id, nb.dist2)).toSeq
+            assert(res.neighbors(qi).map(nb => (nb.id, nb.dist2)).toSeq == expect, s"$method k=$kk q$qi")
+          }
+        }
+      } finally built.unpersist()
     }
   }
 
