@@ -125,7 +125,9 @@ object Refiner {
     ArrayBuffer.from(lists.iterator.flatten).sortInPlaceBy(_._1)
 
   /** The pruning test of every method: a series or node whose squared lower
-    * bound is `lb2` can improve the answers whose kth distance is `bsf`.
+    * bound is `lb2` may improve the answers whose kth distance is `bsf`. A
+    * bound equal to the BSF passes: a series at exactly the kth distance
+    * still wins the tie-break when its id is smaller.
     */
-  def admits(lb2: Double, bsf: Double): Boolean = lb2 < bsf
+  def admits(lb2: Double, bsf: Double): Boolean = lb2 <= bsf
 }

@@ -63,8 +63,9 @@ object Runner {
     avg * 10000 / 1000.0
   }
 
-  /** Assert every method returned the same exact kth distances (they are all
-    * exact algorithms); returns the compared run list unchanged.
+  /** Assert every method returned the same exact `(id, dist2)` lists (they
+    * are all exact algorithms under the `KnnSet` tie-break); returns the
+    * compared run list unchanged.
     */
   def checkExactAgreement(runs: Seq[MethodRun]): Seq[MethodRun] = {
     require(runs.nonEmpty)
@@ -72,12 +73,12 @@ object Runner {
     runs.tail.foreach { r =>
       require(r.answers.length == ref.answers.length)
       ref.answers.indices.foreach { qi =>
-        val a = ref.answers(qi).map(_.dist2)
-        val b = r.answers(qi).map(_.dist2)
+        val a = ref.answers(qi)
+        val b = r.answers(qi)
         require(a.length == b.length,
           s"${r.method} returned ${b.length} answers vs ${ref.method} ${a.length} for query $qi")
         a.zip(b).foreach { case (x, y) =>
-          require(math.abs(x - y) <= 1e-6 * math.max(1.0, math.max(x, y)),
+          require(x.id == y.id && math.abs(x.dist2 - y.dist2) <= 1e-6 * math.max(1.0, math.max(x.dist2, y.dist2)),
             s"${r.method} disagrees with ${ref.method} on query $qi: $y vs $x")
         }
       }

@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core._
+import repro.spark.LocalIndex
 
 /** Exactness of every baseline against brute force, across datasets,
   * workloads and k — plus method-specific invariants.
@@ -53,6 +54,24 @@ class BaselinesSpec extends AnyFunSuite {
       val (ids, data) = fixtures(kind)
       SeriesGen.queries(kind, wl, 3, n, len, 31).zipWithIndex.foreach { case (q, qi) =>
         TestUtil.assertExact(ids, data, q, k, vafiles(kind).knn(q, QueryKnobs(k = k)), s"vafile $qi")
+      }
+    }
+
+  // 4 copies of each of 100 walks under shuffled ids: a copy's bound equals
+  // the BSF once another copy is found, and the tie-break wants the least id.
+  private lazy val copies: (Array[Long], Array[Array[Float]]) = {
+    val base = SeriesGen.dataset("walk", 100, 64, 41)
+    val ids = new scala.util.Random(41).shuffle((0L until 400L).toVector).toArray
+    (ids, Array.tabulate(400)(i => base(i % 100).clone()))
+  }
+
+  for (method <- LocalIndex.builders.keys; k <- Seq(1, 3))
+    test(s"$method exact by id on duplicated series (k=$k)") {
+      val (ids, data) = copies
+      val idx = LocalIndex.builders(method)(ids, data, TestUtil.cfg(64))
+      (0 until 40).foreach { qi =>
+        val q = data(qi * 7 + 3)
+        TestUtil.assertExact(ids, data, q, k, idx.knn(q, QueryKnobs(k = k, lmax = 4, threads = 2)), s"$method q$qi")
       }
     }
 

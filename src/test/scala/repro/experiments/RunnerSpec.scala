@@ -59,5 +59,7 @@ class RunnerSpec extends SparkSpec {
     val a = Runner.MethodRun("a", 0, 0, Array(0.0), 0, Array(Array(Neighbor(1, 1.0))))
     val b = Runner.MethodRun("b", 0, 0, Array(0.0), 0, Array(Array(Neighbor(2, 2.0))))
     intercept[IllegalArgumentException](Runner.checkExactAgreement(Seq(a, b)))
+    val sameDist = Runner.MethodRun("c", 0, 0, Array(0.0), 0, Array(Array(Neighbor(2, 1.0))))
+    intercept[IllegalArgumentException](Runner.checkExactAgreement(Seq(a, sameDist)))
   }
 }
