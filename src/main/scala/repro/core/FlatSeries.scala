@@ -6,13 +6,8 @@ import scala.collection.mutable.ArrayBuffer
   * position `pos` is `lrd[pos * len, (pos + 1) * len)` and has id `ids(pos)`.
   */
 trait FlatSeries {
-  /** Points per series. */
   def len: Int
-
-  /** The series' floats, back to back. */
   def lrd: Array[Float]
-
-  /** Series id by position. */
   def ids: Array[Long]
 }
 

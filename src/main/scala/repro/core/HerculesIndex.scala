@@ -14,7 +14,6 @@ final class HerculesIndex(
     val nSeries: Int,
 ) extends KnnIndex with FlatSeries {
 
-  /** Points per series. */
   def len: Int = cfg.seriesLength
 
   /** iSAX codec matching LSDFile (rebuilt after deserialization). */
