@@ -28,9 +28,9 @@ object FlatSeries {
 /** The refinement policy of the five methods, over one query `q` against a
   * [[FlatSeries]]: real distances early-abandon against the best-so-far
   * (BSF) of `results`, and every real distance counts in
-  * `stats.seriesAccessed`. An operation that runs on more than one thread
-  * reads the BSF with `bsfSync` and inserts with `addSync`; on one thread it
-  * uses the plain `bsf`/`add`.
+  * `stats.seriesAccessed`. Every operation reads the BSF with `results.bsf`
+  * and inserts with `results.add` on any number of threads: the
+  * [[KnnSet]] is the one shared BSF, lock-free to read.
   */
 final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats) {
   import Refiner.{Candidates, admits}
@@ -42,23 +42,17 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
   /** The answers so far. */
   val results = new KnnSet(k)
 
-  private def bound(shared: Boolean): Double = if (shared) results.bsfSync else results.bsf
-
-  private def offer(shared: Boolean, dist2: Double, pos: Int): Unit =
-    if (shared) results.addSync(dist2, ids(pos)) else results.add(dist2, ids(pos))
-
   /** Range scan: the real distance of every series of `ranges`, in order,
     * with no lower-bound test; `threads` workers claim ranges one at a time.
     * With `at`, a range holds indices into `at`, which holds the positions.
     */
   def scan(ranges: collection.IndexedSeq[Range], threads: Int = 1, at: Array[Int] = null): Unit = {
-    val shared = threads > 1
     Par.claim(threads, ranges.length) { (_, r) =>
       val range = ranges(r)
       var i = range.start
       while (i < range.end) {
         val pos = if (at == null) i else at(i)
-        offer(shared, Dist.ed2Flat(q, lrd, pos * len, bound(shared)), pos)
+        results.add(Dist.ed2Flat(q, lrd, pos * len, results.bsf), ids(pos))
         i += 1
       }
       stats.seriesAccessed.addAndGet(range.length)
@@ -73,10 +67,9 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
     */
   def filter(ranges: collection.IndexedSeq[Range], threads: Int)(lb2: (Int, Int) => Double): Array[Candidates] = {
     val out = Array.fill(threads)(new Candidates)
-    val shared = threads > 1
     Par.claim(threads, ranges.length) { (t, r) =>
       val range = ranges(r)
-      val bsf = bound(shared)
+      val bsf = results.bsf
       var pos = range.start
       while (pos < range.end) {
         val b = lb2(r, pos)
@@ -92,16 +85,15 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
     * real distance, bounded by that BSF, and counts as accessed.
     */
   def refine(lists: collection.Seq[Candidates]): Unit = {
-    val shared = lists.length > 1
     Par.claim(lists.length, lists.length) { (_, l) =>
       val list = lists(l)
       var accessed = 0L
       var j = 0
       while (j < list.length) {
         val (pos, lb2) = list(j)
-        val bsf = bound(shared)
+        val bsf = results.bsf
         if (admits(lb2, bsf)) {
-          offer(shared, Dist.ed2Flat(q, lrd, pos * len, bsf), pos)
+          results.add(Dist.ed2Flat(q, lrd, pos * len, bsf), ids(pos))
           accessed += 1
         }
         j += 1

@@ -69,9 +69,10 @@ class BaselinesSpec extends AnyFunSuite {
     test(s"$method exact by id on duplicated series (k=$k)") {
       val (ids, data) = copies
       val idx = LocalIndex.builders(method)(ids, data, TestUtil.cfg(64))
-      (0 until 40).foreach { qi =>
+      for (threads <- Seq(1, 4); qi <- 0 until 40) {
         val q = data(qi * 7 + 3)
-        TestUtil.assertExact(ids, data, q, k, idx.knn(q, QueryKnobs(k = k, lmax = 4, threads = 2)), s"$method q$qi")
+        TestUtil.assertExact(ids, data, q, k, idx.knn(q, QueryKnobs(k = k, lmax = 4, threads = threads)),
+          s"$method q$qi threads=$threads")
       }
     }
 

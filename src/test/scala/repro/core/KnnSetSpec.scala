@@ -59,14 +59,18 @@ class KnnSetSpec extends AnyFunSuite {
     assert(s.toArray.map(_.id).toSeq == Seq(3L, 5L, 1L))
   }
 
-  test("concurrent addSync keeps the exact top-k") {
-    val s = new KnnSet(5)
-    val all = (0 until 2000).map(i => (i * 0.5 + 1, i.toLong))
-    Par.run(4) { t =>
-      all.drop(t).grouped(4).foreach(g => g.headOption.foreach { case (d, i) => s.addSync(d, i) })
+  test("concurrent add keeps the exact top-k") {
+    val distinct = (0 until 2000).map(i => (i * 0.5 + 1, i.toLong))
+    // every offer ties the kth distance; only the tie-break on id may decide
+    val tied = new scala.util.Random(5).shuffle((0L until 2000L).toVector).map(i => (1.0, i))
+    for (all <- Seq(distinct, tied)) {
+      val s = new KnnSet(5)
+      Par.run(4) { t =>
+        all.drop(t).grouped(4).foreach(g => g.headOption.foreach { case (d, i) => s.add(d, i) })
+      }
+      // every element was offered by some thread; expected top-5 = smallest 5 by (dist2, id)
+      val expect = all.sorted.take(5).map(_._2)
+      assert(s.toArray.map(_.id).toSeq == expect)
     }
-    // every element was offered by some thread; expected top-5 = smallest 5
-    val expect = all.sortBy(_._1).take(5).map(_._2)
-    assert(s.toArray.map(_.id).toSeq == expect)
   }
 }
