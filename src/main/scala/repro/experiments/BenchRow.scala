@@ -7,6 +7,12 @@ final case class BenchRow(figure: String, config: String, method: String, metric
 
 object BenchRow {
 
+  /** Reject a table that has no rows, or a value that is NaN or negative. */
+  def check(title: String, rows: Seq[BenchRow]): Unit = {
+    require(rows.nonEmpty, s"$title produced no rows")
+    rows.foreach(r => require(r.value >= 0.0, s"$title has a NaN or negative value in $r"))
+  }
+
   /** Render rows as an aligned text table grouped by (config, metric). */
   def render(title: String, rows: Seq[BenchRow]): String = {
     val sb = new StringBuilder

@@ -32,25 +32,11 @@ object Runner {
   def knobs(k: Int, lmax: Int = 8): QueryKnobs =
     QueryKnobs(k = k, lmax = lmax, eapcaTh = 0.25, saxTh = 0.50, threads = 1)
 
-  /** Build + query one method; returns timings, access stats and answers. */
   /** The paper's Lmax is a whole-index budget; per-partition searches share
     * it so the approximate step does not scan `partitions×Lmax` leaves.
     */
   def scaleKnobs(qk: QueryKnobs, partitions: Int): QueryKnobs =
     qk.copy(lmax = math.max(1, (qk.lmax + partitions - 1) / partitions))
-
-  def runMethod(df: DataFrame, method: String, cfg: IndexConfig,
-                queries: Array[Array[Float]], qk: QueryKnobs,
-                partitionsOverride: Int = -1): MethodRun = {
-    val spark = df.sparkSession
-    val parts = if (partitionsOverride > 0) partitionsOverride else partitionsFor(method, spark)
-    val built = Distributed.build(df, method, cfg, parts)
-    try {
-      val res = Distributed.knnBatch(built, queries, scaleKnobs(qk, parts))
-      MethodRun(method, built.maxPartitionBuildMs / 1000.0, res.avgQueryMs, res.perQueryMs,
-        res.avgAccessFraction * 100.0, res.neighbors)
-    } finally built.unpersist()
-  }
 
   /** The paper's extrapolation: drop the best/worst tail, average the rest,
     * multiply by 10K queries; result in seconds.

@@ -54,6 +54,13 @@ class RunnerSpec extends SparkSpec {
     assert(s.contains("hercules") && s.contains("pscan") && s.contains("cfg1"))
   }
 
+  test("BenchRow.check rejects an empty table, a NaN value and a negative value") {
+    val ok = BenchRow("f", "cfg1", "hercules", "ms", 0.0)
+    BenchRow.check("t", Seq(ok))
+    for (bad <- Seq(Seq.empty, Seq(ok, ok.copy(value = Double.NaN)), Seq(ok.copy(value = -1.0))))
+      intercept[IllegalArgumentException](BenchRow.check("t", bad))
+  }
+
   test("checkExactAgreement raises on disagreement") {
     import repro.core.Neighbor
     val a = Runner.MethodRun("a", 0, 0, Array(0.0), 0, Array(Array(Neighbor(1, 1.0))))
