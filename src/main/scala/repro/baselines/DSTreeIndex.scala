@@ -4,12 +4,12 @@ import repro.core._
 
 /** DSTree* baseline (§2, §4.1): the optimized sequential EAPCA tree.
   *
-  * Build: single-threaded inserts that maintain every path node's synopsis
-  * inline (the cost Hercules defers to index writing — Fig. 12a). Query: the
-  * classic exact algorithm — an approximate descent to the query's home leaf
-  * seeds the best-so-far, then a priority-queue traversal ordered by
-  * `LB_EAPCA` scans every non-pruned leaf with real distances. Single thread,
-  * no iSAX, no thresholds.
+  * Build: path-locked inserts on one thread, which maintain every path
+  * node's synopsis inline (the cost Hercules defers to index writing —
+  * Fig. 12a). Query: the classic exact algorithm — an approximate descent to
+  * the query's home leaf seeds the best-so-far, then a priority-queue
+  * traversal ordered by `LB_EAPCA` scans every non-pruned leaf with real
+  * distances. Single thread, no iSAX, no thresholds.
   */
 final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
 
@@ -39,6 +39,5 @@ object DSTreeIndex {
 
   /** Build the DSTree* baseline over a dataset. */
   def build(ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): DSTreeIndex =
-    new DSTreeIndex(HerculesIndex.build(ids, data, cfg.copy(buildThreads = 1),
-      BuildMode.Sequential, computeSax = false))
+    new DSTreeIndex(HerculesIndex.build(ids, data, cfg.copy(buildThreads = 1), BuildMode.PathLocked))
 }

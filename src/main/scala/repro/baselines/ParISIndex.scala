@@ -29,16 +29,6 @@ final class ParISIndex(
     val groups: Map[Int, Array[Int]],
 ) extends KnnIndex with FlatSeries {
 
-  private def keyOf(word: Array[Byte], off: Int): Int = {
-    var key = 0
-    var i = 0
-    while (i < isax.segments) {
-      key = (key << 1) | ((word(off + i) & 0x80) >>> 7)
-      i += 1
-    }
-    key
-  }
-
   /** Exact k-NN via parallel SIMS (summary scan + file-order refinement) on
     * `knobs.threads`.
     */
@@ -48,7 +38,7 @@ final class ParISIndex(
     val qWord = new Array[Byte](isax.segments)
     var i = 0
     while (i < isax.segments) { qWord(i) = isax.symbolOf(paaQ(i)); i += 1 }
-    val qKey = keyOf(qWord, 0)
+    val qKey = ParISIndex.keyOf(qWord, 0, isax.segments)
 
     // Approximate answer from the query's root subtree (nearest non-empty
     // group by Hamming distance on the top bits when the exact one is empty).
@@ -71,6 +61,19 @@ final class ParISIndex(
 
 object ParISIndex {
 
+  /** Root-subtree key of the iSAX word at `word[off, off + segments)`: the
+    * top bit of each symbol, first segment highest.
+    */
+  private def keyOf(word: Array[Byte], off: Int, segments: Int): Int = {
+    var key = 0
+    var i = 0
+    while (i < segments) {
+      key = (key << 1) | ((word(off + i) & 0x80) >>> 7)
+      i += 1
+    }
+    key
+  }
+
   /** Build: one pass computing iSAX words + top-bit root-subtree grouping. */
   def build(idsIn: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): ParISIndex = {
     val len = cfg.seriesLength
@@ -81,11 +84,8 @@ object ParISIndex {
     val grouped = new java.util.HashMap[Int, ArrayBuffer[Int]]
     var i = 0
     while (i < n) {
-      val w = isax.word(data(i))
-      System.arraycopy(w, 0, lsd, i * isax.segments, isax.segments)
-      var key = 0
-      var s = 0
-      while (s < isax.segments) { key = (key << 1) | ((w(s) & 0x80) >>> 7); s += 1 }
+      System.arraycopy(isax.word(data(i)), 0, lsd, i * isax.segments, isax.segments)
+      val key = keyOf(lsd, i * isax.segments, isax.segments)
       var buf = grouped.get(key)
       if (buf == null) { buf = new ArrayBuffer[Int]; grouped.put(key, buf) }
       buf += i

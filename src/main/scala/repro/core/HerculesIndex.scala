@@ -34,9 +34,8 @@ object HerculesIndex {
 
   /** One-call build pipeline: parallel build + index writing. */
   def build(ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig,
-            mode: BuildMode = BuildMode.Hercules, computeSax: Boolean = true): HerculesIndex = {
+            mode: BuildMode = BuildMode.Hercules): HerculesIndex = {
     val (tree, store) = new ParallelBuilder(cfg, mode).build(ids, data)
-    IndexWriter.write(tree, store, computeSax = computeSax,
-      updateSynopses = mode == BuildMode.Hercules, threads = cfg.writerThreads)
+    IndexWriter.write(tree, store, threads = cfg.writerThreads)
   }
 }

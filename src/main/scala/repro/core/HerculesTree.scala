@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable.ArrayBuffer
 
 /** Split-policy selection (§3.2): evaluates every H-split and V-split
   * candidate on the actual leaf contents and keeps the one maximizing the
@@ -175,11 +174,12 @@ object SplitPolicy {
   }
 }
 
-/** The Hercules index tree (§3.2) with the insertion paths of §3.3:
-  * lock-free routing, leaf-only locking (Algorithm 5), and — for the
-  * ablation study — sequential (DSTree*) and path-locked (DSTree*P) modes.
+/** The Hercules index tree (§3.2) with the insertion paths of §3.3. The
+  * mode picks the one insert path: lock-free routing with leaf-only locking
+  * (Algorithm 5) for Hercules, or root-to-leaf path locking that keeps every
+  * path synopsis for DSTree*P (and DSTree* on one thread).
   */
-final class HerculesTree(val cfg: IndexConfig) extends Serializable {
+final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) extends Serializable {
   private val nextId = new AtomicInteger(0)
   private val attempts = new AtomicInteger(0)
   private val failed = new AtomicInteger(0)
@@ -189,11 +189,17 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
 
   private def newNode(ends: Array[Int]): Node = new Node(ends, nextId.getAndIncrement())
 
+  /** Insert series `s` into `worker`'s HBuffer region, as the mode says. */
+  def insert(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = mode match {
+    case BuildMode.Hercules   => insertLeafLocked(id, s, worker, store)
+    case BuildMode.PathLocked => insertPathLocked(root, id, s, worker, store)
+  }
+
   /** Algorithm 5: route, lock the leaf, re-check leafness, append, and split
     * when full. Only the leaf is locked; internal synopses are deferred to
-    * index writing (Hercules mode).
+    * index writing.
     */
-  def insertConcurrent(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
+  private def insertLeafLocked(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
     while (true) {
       val leaf = root.leafFor(s)
       leaf.synchronized {
@@ -206,36 +212,21 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
     }
   }
 
-  /** DSTree* sequential insert: additionally maintains the synopsis of every
-    * node on the root-to-leaf path (the work Hercules defers — Fig. 12a).
+  /** DSTree*P insert below `n`: holds the monitor of every node from `n`
+    * down to the leaf (taken in root→leaf order, so deadlock-free) and
+    * updates each internal node's synopsis on the way, the work Hercules
+    * defers to index writing (Fig. 12a). A node whose monitor is held cannot
+    * split, so the insert never re-routes.
     */
-  def insertSequential(id: Long, s: Array[Float], store: SeriesStore): Unit = {
-    var n = root
-    while (!n.isLeaf) { n.updateSynopsis(s); n.count += 1; n = if (n.split.goesLeft(s)) n.left else n.right }
-    appendToLeaf(n, id, s, 0, store)
-  }
-
-  /** DSTree*P ablation insert: locks the whole root-to-leaf path (in root→leaf
-    * order, so deadlock-free) to update internal synopses concurrently.
-    */
-  def insertPathLocked(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
-    while (true) {
-      val path = new ArrayBuffer[Node]
-      var n = root
-      path += n
-      while (!n.isLeaf) { n = if (n.split.goesLeft(s)) n.left else n.right; path += n }
-      path.foreach(_.lock.lock())
-      try {
-        val leaf = path.last
-        if (leaf.isLeaf) {
-          var i = 0
-          while (i < path.length - 1) { path(i).updateSynopsis(s); path(i).count += 1; i += 1 }
-          leaf.synchronized(appendToLeaf(leaf, id, s, worker, store))
-          return
-        }
-      } finally path.reverseIterator.foreach(_.lock.unlock())
+  private def insertPathLocked(n: Node, id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit =
+    n.synchronized {
+      if (n.isLeaf) appendToLeaf(n, id, s, worker, store)
+      else {
+        n.updateSynopsis(s)
+        n.count += 1
+        insertPathLocked(if (n.split.goesLeft(s)) n.left else n.right, id, s, worker, store)
+      }
     }
-  }
 
   /** Append under the leaf lock; update the leaf synopsis; split when full.
     * A leaf whose last split attempt failed is not retried while arriving

@@ -10,7 +10,8 @@ package repro.core
   * @param leafCapacity    max series per leaf before a split (τ)
   * @param saxSegments     iSAX/PAA segment count (paper: 16)
   * @param saxCardinality  iSAX alphabet size (paper: 256)
-  * @param buildThreads    InsertWorker count for the in-core parallel builder
+  * @param buildThreads    InsertWorker count of the build protocol, in every
+  *                        mode (DSTree* forces 1)
   * @param writerThreads   WriteIndexWorker count for the index-writing phase
   * @param dbSize          DBuffer chunk size, in series (paper: 120K)
   * @param hbufferSlots    HBuffer capacity in series slots, split evenly into

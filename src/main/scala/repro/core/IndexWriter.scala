@@ -6,26 +6,24 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Post-processes every leaf in parallel (fetch-add leaf cursor, one worker
   * per leaf): materializes the leaf's raw series into LRDFile order (inorder
-  * leaf traversal), computes their iSAX words into LSDFile, and rebuilds the
-  * ancestors' synopses bottom-up — `HSplitSynopsis` merges the leaf synopsis
-  * into every ancestor segment that survives intact on the path, while
-  * `VSplitSynopsis` recomputes vertically-destroyed segments from the raw
-  * series (their min/max cannot be derived from the children's finer
-  * segments). Ancestor updates are min/max folds, so they commute and only
-  * need a per-node lock.
+  * leaf traversal). For a Hercules tree it also computes their iSAX words
+  * into LSDFile and rebuilds the ancestors' synopses bottom-up —
+  * `HSplitSynopsis` merges the leaf synopsis into every ancestor segment that
+  * survives intact on the path, while `VSplitSynopsis` recomputes
+  * vertically-destroyed segments from the raw series (their min/max cannot
+  * be derived from the children's finer segments). Ancestor updates are
+  * min/max folds, so they commute and only need a per-node lock. A
+  * path-locked tree kept its synopses during inserts and is EAPCA only, so
+  * it gets neither.
   */
 object IndexWriter {
 
   /** Materialize `tree` (+ its HBuffer/spill contents) into a queryable
     * [[HerculesIndex]].
     *
-    * @param computeSax      false for EAPCA-only baselines (DSTree*)
-    * @param updateSynopses  false when internal synopses were maintained
-    *                        during inserts (Sequential/PathLocked modes)
-    * @param threads         WriteIndexWorker count (1 = NoWPara ablation)
+    * @param threads WriteIndexWorker count (1 = NoWPara ablation)
     */
-  def write(tree: HerculesTree, store: SeriesStore, computeSax: Boolean = true,
-            updateSynopses: Boolean = true, threads: Int = 1): HerculesIndex = {
+  def write(tree: HerculesTree, store: SeriesStore, threads: Int = 1): HerculesIndex = {
     val cfg = tree.cfg
     val len = cfg.seriesLength
     val leaves = tree.root.leavesInorder
@@ -39,10 +37,11 @@ object IndexWriter {
     val lrd = new Array[Float](n * len)
     val idsArr = new Array[Long](n)
     val isax = ISax(cfg)
-    val lsd = if (computeSax) new Array[Byte](n * isax.segments) else null
+    val hercules = tree.mode == BuildMode.Hercules
+    val lsd = if (hercules) new Array[Byte](n * isax.segments) else null
 
     Par.claim(math.max(1, threads), leaves.length) { (_, j) =>
-      processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, updateSynopses)
+      processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, hercules)
     }
 
     // WriteIndexTree: fix subtree counts (post-order) and drop build state.
@@ -60,7 +59,7 @@ object IndexWriter {
   /** ProcessLeaf of Algorithm 7: materialize + summarize + fix ancestors. */
   private def processLeaf(leaf: Node, store: SeriesStore, lrd: Array[Float],
                           idsArr: Array[Long], lsd: Array[Byte], isax: ISax,
-                          len: Int, updateSynopses: Boolean): Unit = {
+                          len: Int, rebuildSynopses: Boolean): Unit = {
     val vals = store.gather(leaf)
     require(vals.length == leaf.count, s"leaf ${leaf.id}: ${vals.length} != ${leaf.count}")
     var i = 0
@@ -76,7 +75,7 @@ object IndexWriter {
     leaf.slots = null
     leaf.unsplittableAs = null
 
-    if (updateSynopses && leaf.parent != null) {
+    if (rebuildSynopses && leaf.parent != null) {
       // Segments of this leaf, keyed by their (start, end) range.
       val leafSegs = new java.util.HashMap[Long, Integer]
       var j = 0

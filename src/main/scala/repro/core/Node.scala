@@ -61,11 +61,6 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   var right: Node = _
   var parent: Node = _
 
-  /** Explicit lock for modes that must hold several nodes at once (DSTree*P
-    * path locking); re-created after deserialization.
-    */
-  @transient lazy val lock = new java.util.concurrent.locks.ReentrantLock
-
   // Build-time leaf storage (dropped before serialization by IndexWriter).
   @transient var slots: ArrayBuffer[Int] = new ArrayBuffer[Int]
   @transient var spillFile: Path = _

@@ -1,44 +1,48 @@
 package repro.core
 
 import java.util.concurrent.CyclicBarrier
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
-/** How inserts synchronize — the three build strategies of the ablation
-  * study (Fig. 12a).
+/** How inserts keep the tree's synopses — the choice the build ablation
+  * (Fig. 12a) makes besides the thread count. The tree's mode alone decides
+  * how [[HerculesTree.insert]] locks and what [[IndexWriter.write]] computes.
   */
 sealed trait BuildMode extends Serializable
 object BuildMode {
-  /** Hercules: concurrent inserts, leaf-only locking, synopses deferred. */
+  /** Hercules: inserts lock the leaf only; index writing rebuilds the
+    * internal synopses and writes the iSAX words (LSDFile).
+    */
   case object Hercules extends BuildMode
-  /** DSTree*P: concurrent inserts locking the whole root-to-leaf path. */
+  /** DSTree*P, and DSTree* on one build thread: inserts lock the whole
+    * root-to-leaf path and keep its synopses; EAPCA only, no iSAX words.
+    */
   case object PathLocked extends BuildMode
-  /** DSTree*: single-threaded inserts updating path synopses inline. */
-  case object Sequential extends BuildMode
 }
 
-/** Index building (§3.3, Algorithms 1–4).
+/** Index building (§3.3, Algorithms 1–4), one protocol for every mode and
+  * thread count.
   *
-  * The coordinator cuts the input into DBuffer chunks of `cfg.dbSize` series
-  * and alternates the two buffer parts; InsertWorkers claim series one at a
-  * time with a fetch-add cursor and insert them under Algorithm 5. A worker
-  * claims only while its HBuffer region has a free slot (each insert takes
-  * exactly one); a worker whose region fills, at the start of a chunk or in
-  * the middle of one, raises the flush counter and parks at the barrier. At
-  * the end-of-chunk barrier, one thread alone (the FlushCoordinator — here
-  * the barrier action, all other parties parked) decides whether to flush,
-  * spills every leaf's buffered series to its spill file, and
-  * single-threadedly inserts any series left unclaimed (a catch-up insert,
-  * counted by [[catchUpInserts]]).
+  * The input array is the DBuffer: chunk `c` is
+  * `data[c·dbSize, min(n, (c+1)·dbSize))`. `cfg.buildThreads` InsertWorkers
+  * claim a chunk's series one at a time from one fetch-add cursor and insert
+  * them with [[HerculesTree.insert]]. A worker claims only while its HBuffer
+  * region has a free slot (each insert takes exactly one); a worker whose
+  * region fills, at the start of a chunk or in the middle of one, raises the
+  * flush counter. Every worker then parks at the end-of-chunk barrier. Its
+  * action is the FlushCoordinator — one thread, all others parked: it decides
+  * whether to flush, spills every leaf's buffered series to its spill file,
+  * inserts any series left unclaimed on region 0 (a catch-up insert, counted
+  * by [[catchUpInserts]]), then resets the cursor to the next chunk.
   *
-  * Deviations from the paper (noted in DESIGN.md): the paper uses two
-  * barriers so the read coordinator never blocks during a flush; merging them
-  * into one barrier round makes the coordinator idle during flushes but
-  * preserves the protocol's structure (single flusher, workers parked,
-  * per-chunk cadence). Algorithm 2 lets a worker take part in a chunk only
-  * when its region holds a whole chunk; claiming per series instead keeps
-  * every worker inserting until its region is actually full. The "file"
-  * being read is an in-memory array — the read phase is the substitution for
-  * raw-file I/O.
+  * An insert that throws records its exception and its worker still reaches
+  * the barrier, whose action then ends the build; [[build]] rethrows the
+  * first such exception. No worker can wait on a barrier another has left.
+  *
+  * Deviations from the paper (noted in DESIGN.md): there is no read
+  * coordinator and no second barrier, as the input is already in memory and
+  * the chunk bounds are computed. Algorithm 2 lets a worker take part in a
+  * chunk only when its region holds a whole chunk; claiming per series
+  * instead keeps every worker inserting until its region is actually full.
   */
 final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
   private var catchUps = 0
@@ -53,111 +57,57 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     require(ids.length == data.length)
     val n = data.length
     catchUps = 0
-    val tree = new HerculesTree(cfg)
-    val workers = if (mode == BuildMode.Sequential) 1 else math.max(1, cfg.buildThreads)
+    val tree = new HerculesTree(cfg, mode)
+    val workers = math.max(1, cfg.buildThreads)
     val dbSize = math.max(1, math.min(cfg.dbSize, math.max(1, n)))
     val totalSlots = if (cfg.hbufferSlots > 0) cfg.hbufferSlots else n + dbSize
     val store = SeriesStore.create(cfg.seriesLength, workers, totalSlots, dbSize)
 
-    if (workers == 1) {
-      var i = 0
-      while (i < n) {
-        if (store.freeSlots(0) == 0) store.flushAll(tree.root)
-        mode match {
-          case BuildMode.Sequential => tree.insertSequential(ids(i), data(i), store)
-          case _                    => tree.insertConcurrent(ids(i), data(i), 0, store)
-        }
-        i += 1
-      }
-      return (tree, store)
-    }
-
-    // Shared chunk state; published across rounds by the barrier.
-    val chunkStart = Array(0, 0)
-    val chunkLen = Array(0, 0)
-    val finished = Array(false, false)
-    val cursors = Array(new AtomicInteger(0), new AtomicInteger(0))
+    val chunks = (n + dbSize - 1) / dbSize
+    var chunk = 0 // written only by the barrier action; the barrier publishes it
+    def chunkEnd: Int = math.min(n, (chunk + 1) * dbSize)
+    val cursor = new AtomicInteger(0)
     val flushCounter = new AtomicInteger(0)
-    @volatile var failure: Throwable = null
-    var actionToggle = 0 // only touched inside the barrier action
+    val failure = new AtomicReference[Throwable]
+    def guarded(body: => Unit): Unit =
+      try body catch { case e: Throwable => failure.compareAndSet(null, e) }
 
-    def insertOne(i: Int, w: Int): Unit = mode match {
-      case BuildMode.PathLocked => tree.insertPathLocked(ids(i), data(i), w, store)
-      case _                    => tree.insertConcurrent(ids(i), data(i), w, store)
-    }
-
-    val barrier: CyclicBarrier = new CyclicBarrier(workers + 1, () => {
-      val t = actionToggle
-      val len = chunkLen(t)
-      val consumed = cursors(t).get() >= len
-      if (flushCounter.get() >= cfg.flushThreshold || (!consumed && flushCounter.get() > 0)) {
-        store.flushAll(tree.root)
-        flushCounter.set(0)
+    val barrier = new CyclicBarrier(workers, () => {
+      if (failure.get == null) guarded {
+        val end = chunkEnd
+        val consumed = cursor.get() >= end
+        if (flushCounter.get() >= cfg.flushThreshold || (!consumed && flushCounter.get() > 0)) {
+          store.flushAll(tree.root)
+          flushCounter.set(0)
+        }
+        // Catch up series left by full workers: regions were just emptied,
+        // and one chunk always fits one region (SeriesStore.create guarantee).
+        var i = cursor.getAndIncrement()
+        while (i < end) {
+          tree.insert(ids(i), data(i), 0, store)
+          catchUps += 1
+          i = cursor.getAndIncrement()
+        }
       }
-      // Catch up series left by full workers: regions were just emptied,
-      // and one chunk always fits one region (SeriesStore.create guarantee).
-      var pos = cursors(t).getAndIncrement()
-      while (pos < len) {
-        insertOne(chunkStart(t) + pos, 0)
-        catchUps += 1
-        pos = cursors(t).getAndIncrement()
-      }
-      actionToggle ^= 1
+      chunk = if (failure.get == null) chunk + 1 else chunks
+      cursor.set(chunk * dbSize)
     })
 
-    def workerLoop(w: Int): Unit = {
-      var toggle = 0
-      while (!finished(toggle)) {
-        val len = chunkLen(toggle)
-        var claiming = true
-        while (claiming) {
-          if (store.freeSlots(w) == 0) { flushCounter.incrementAndGet(); claiming = false }
-          else {
-            val pos = cursors(toggle).getAndIncrement()
-            if (pos < len) insertOne(chunkStart(toggle) + pos, w) else claiming = false
-          }
+    // The barrier needs every worker running at once; Par's pool is an
+    // unbounded cached pool, so each worker gets its own thread.
+    Par.run(workers) { w =>
+      while (chunk < chunks) {
+        val end = chunkEnd
+        guarded {
+          var i = 0
+          while (store.freeSlots(w) > 0 && { i = cursor.getAndIncrement(); i < end })
+            tree.insert(ids(i), data(i), w, store)
+          if (store.freeSlots(w) == 0) flushCounter.incrementAndGet()
         }
         barrier.await()
-        toggle ^= 1
       }
     }
-
-    // Fill part 0 with the first chunk (read phase, Algorithm 1 line 15).
-    chunkLen(0) = math.min(dbSize, n)
-    chunkStart(0) = 0
-    cursors(0).set(0)
-    finished(0) = n == 0
-    var next = chunkLen(0)
-
-    val threads = (0 until workers).map { w =>
-      val th = new Thread(() =>
-        try workerLoop(w)
-        catch { case e: Throwable => if (failure == null) failure = e; barrier.reset() },
-        s"insert-worker-$w")
-      th.start()
-      th
-    }
-
-    var toggle = 0
-    try {
-      while (!finished(toggle)) {
-        val other = 1 - toggle
-        if (next < n) {
-          chunkStart(other) = next
-          chunkLen(other) = math.min(dbSize, n - next)
-          cursors(other).set(0)
-          finished(other) = false
-          next += chunkLen(other)
-        } else finished(other) = true
-        barrier.await()
-        toggle ^= 1
-      }
-    } catch {
-      case e: java.util.concurrent.BrokenBarrierException =>
-        if (failure == null) throw e
-    }
-    threads.foreach(_.join())
-    if (failure != null) throw failure
+    if (failure.get != null) throw failure.get
     (tree, store)
   }
 }

@@ -113,21 +113,21 @@ object Figures {
     val ids = Array.tabulate(size)(_.toLong)
     val base = IndexConfig(seriesLength = len, leafCapacity = 64, buildThreads = 4, writerThreads = 4)
 
-    def time(mode: BuildMode, c: IndexConfig, computeSax: Boolean): Double = {
+    def time(mode: BuildMode, c: IndexConfig): Double = {
       val t0 = System.nanoTime()
-      HerculesIndex.build(ids, data, c, mode, computeSax)
+      HerculesIndex.build(ids, data, c, mode)
       (System.nanoTime() - t0) / 1e9
     }
 
     Seq(
       BenchRow("fig12a", "build", "dstree*", "build_s",
-        time(BuildMode.Sequential, base.copy(buildThreads = 1, writerThreads = 1), computeSax = false)),
+        time(BuildMode.PathLocked, base.copy(buildThreads = 1, writerThreads = 1))),
       BenchRow("fig12a", "build", "dstree*P", "build_s",
-        time(BuildMode.PathLocked, base.copy(writerThreads = 1), computeSax = false)),
+        time(BuildMode.PathLocked, base.copy(writerThreads = 1))),
       BenchRow("fig12a", "build", "noWPara", "build_s",
-        time(BuildMode.Hercules, base.copy(writerThreads = 1), computeSax = true)),
+        time(BuildMode.Hercules, base.copy(writerThreads = 1))),
       BenchRow("fig12a", "build", "hercules", "build_s",
-        time(BuildMode.Hercules, base, computeSax = true)),
+        time(BuildMode.Hercules, base)),
     )
   }
 

@@ -9,16 +9,23 @@ import repro.core._
   * (DESIGN.md §2). `index.knn` is exact within the partition, so the
   * driver-side top-k merge is exact globally.
   *
-  * @param method  the name `index` was built under (a key of [[LocalIndex.builders]])
-  * @param buildMs wall-clock build time of this partition's structure, in ms
+  * @param method       the name `index` was built under (a key of [[LocalIndex.builders]])
+  * @param buildMs      wall-clock build time of this partition's structure, in ms
+  * @param seriesLength the length of every indexed series, and of a query
   */
-final case class LocalIndex(method: String, index: KnnIndex, buildMs: Double) {
+final case class LocalIndex(method: String, index: KnnIndex, buildMs: Double, seriesLength: Int) {
   /** Series indexed in this partition. */
   def nSeries: Long = index.nSeries
 
-  /** Exact within-partition k-NN; `stats` accumulates access counters. */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
+  /** Exact within-partition k-NN; `stats` accumulates access counters.
+    * Rejects a query of another length or with a NaN or infinite point.
+    */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
+    require(q.length == seriesLength, s"query has length ${q.length}, expected $seriesLength")
+    val bad = LocalIndex.firstNonFinite(q)
+    require(bad < 0, s"query has the non-finite value ${q(bad)} at index $bad")
     index.knn(q, knobs, stats)
+  }
 }
 
 object LocalIndex {
@@ -35,11 +42,31 @@ object LocalIndex {
     "pscan"    -> Pscan.build,
   )
 
-  /** Build one partition's structure for `method` over materialized series. */
+  /** Index of the first NaN or infinite point of `s`, or -1. */
+  private def firstNonFinite(s: Array[Float]): Int = {
+    var i = 0
+    while (i < s.length && java.lang.Float.isFinite(s(i))) i += 1
+    if (i < s.length) i else -1
+  }
+
+  /** Build one partition's structure for `method` over materialized series.
+    * Rejects, by id, a series whose length is not `cfg.seriesLength` or that
+    * holds a NaN or infinite point.
+    */
   def build(method: String, ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): LocalIndex = {
     val builder = builders.getOrElse(method, throw new IllegalArgumentException(s"unknown method: $method"))
+    require(ids.length == data.length, s"${ids.length} ids for ${data.length} series")
+    var i = 0
+    while (i < data.length) {
+      val s = data(i)
+      require(s.length == cfg.seriesLength,
+        s"series ${ids(i)} has length ${s.length}, expected ${cfg.seriesLength}")
+      val bad = firstNonFinite(s)
+      require(bad < 0, s"series ${ids(i)} has the non-finite value ${s(bad)} at index $bad")
+      i += 1
+    }
     val t0 = System.nanoTime()
     val index = builder(ids, data, cfg)
-    LocalIndex(method, index, (System.nanoTime() - t0) / 1e6)
+    LocalIndex(method, index, (System.nanoTime() - t0) / 1e6, cfg.seriesLength)
   }
 }

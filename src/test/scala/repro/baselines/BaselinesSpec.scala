@@ -76,6 +76,29 @@ class BaselinesSpec extends AnyFunSuite {
       }
     }
 
+  test("LocalIndex rejects malformed series by id and malformed queries, for every method") {
+    val data = SeriesGen.dataset("walk", 50, len, 43)
+    val ids = Array.tabulate(50)(i => 1000L + i)
+    val bad = Seq(
+      "too short" -> data(7).take(len - 1),
+      "too long" -> (data(7) :+ 0f),
+      "NaN" -> data(7).updated(3, Float.NaN),
+      "+Inf" -> data(7).updated(3, Float.PositiveInfinity))
+    for (method <- LocalIndex.builders.keys) {
+      for ((what, s) <- bad) {
+        val e = intercept[IllegalArgumentException](
+          LocalIndex.build(method, ids, data.updated(7, s), TestUtil.cfg(len)))
+        assert(e.getMessage.contains("series 1007 "), s"$method, $what: ${e.getMessage}")
+      }
+      val idx = LocalIndex.build(method, ids, data, TestUtil.cfg(len))
+      val short = intercept[IllegalArgumentException](idx.knn(data(0).take(len - 2), QueryKnobs(), new QueryStats))
+      assert(short.getMessage.contains(s"length ${len - 2}"), s"$method: ${short.getMessage}")
+      val nan = intercept[IllegalArgumentException](
+        idx.knn(data(0).updated(5, Float.NaN), QueryKnobs(), new QueryStats))
+      assert(nan.getMessage.contains("index 5"), s"$method: ${nan.getMessage}")
+    }
+  }
+
   test("VAFile DFT transform lower-bounds the true distance") {
     val data = SeriesGen.dataset("walk", 30, len, 5)
     val q = SeriesGen.dataset("walk", 1, len, 6)(0)

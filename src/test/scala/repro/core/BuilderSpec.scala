@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 
@@ -26,14 +28,9 @@ class BuilderSpec extends AnyFunSuite {
       checkBuild(BuildMode.Hercules, TestUtil.cfg(32, 16, threads), 500, seed)
     }
 
-  for (threads <- Seq(2, 4); seed <- 1 to 2)
+  for (threads <- Seq(1, 2, 4); seed <- 1 to 2)
     test(s"PathLocked (DSTree*P) build is exact (threads=$threads seed=$seed)") {
       checkBuild(BuildMode.PathLocked, TestUtil.cfg(32, 16, threads), 500, seed)
-    }
-
-  for (seed <- 1 to 2)
-    test(s"Sequential (DSTree*) build is exact (seed=$seed)") {
-      checkBuild(BuildMode.Sequential, TestUtil.cfg(32, 16), 500, seed)
     }
 
   for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
@@ -45,7 +42,7 @@ class BuilderSpec extends AnyFunSuite {
 
   test("forced flush in sequential mode stays exact") {
     val cfg = TestUtil.cfg(32, 8).copy(dbSize = 16, hbufferSlots = 32, flushThreshold = 1)
-    checkBuild(BuildMode.Sequential, cfg, 400, 17)
+    checkBuild(BuildMode.PathLocked, cfg, 400, 17)
   }
 
   test("empty dataset builds an empty index") {
@@ -70,7 +67,7 @@ class BuilderSpec extends AnyFunSuite {
     val cfg = TestUtil.cfg(32, 16, 4)
     val (ids, data) = TestUtil.dataset(300, 32, 5)
     val a = HerculesIndex.build(ids, data, cfg, BuildMode.Hercules)
-    val b = HerculesIndex.build(ids, data, cfg, BuildMode.Sequential)
+    val b = HerculesIndex.build(ids, data, cfg.copy(buildThreads = 1), BuildMode.PathLocked)
     assert(a.ids.sorted.toSeq == b.ids.sorted.toSeq)
     assert(a.nSeries == b.nSeries)
   }
@@ -98,5 +95,14 @@ class BuilderSpec extends AnyFunSuite {
       assert(store.regionSlots < 2 * cfg.dbSize)
       assert(store.flushCount > 0)
       checkBuild(mode, cfg, 1500, 31)
+    }
+
+  for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked); threads <- Seq(1, 4))
+    test(s"a failing insert fails the build with its own exception ($mode, threads=$threads)") {
+      val cfg = TestUtil.cfg(32, 16, threads)
+      val (ids, data) = TestUtil.dataset(500, 32, 41)
+      data(250) = data(250).take(20)
+      val build = Future(new ParallelBuilder(cfg, mode).build(ids, data))(ExecutionContext.global)
+      intercept[IndexOutOfBoundsException](Await.result(build, 60.seconds))
     }
 }

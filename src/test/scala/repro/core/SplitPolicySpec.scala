@@ -94,7 +94,7 @@ class SplitPolicySpec extends AnyFunSuite {
     val ids = Array.tabulate(2000)(_.toLong)
     val data = Array.tabulate(2000)(i => walk(i.toLong))
     val cfg = IndexConfig(seriesLength = Len, leafCapacity = 24, dbSize = 64)
-    val (tree, store) = new ParallelBuilder(cfg, BuildMode.Sequential).build(ids, data)
+    val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
     def members(n: Node): IndexedSeq[Array[Float]] =
       n.leavesInorder.flatMap(store.gather).map(_._2).toIndexedSeq
     def walkTree(n: Node): Seq[Node] =

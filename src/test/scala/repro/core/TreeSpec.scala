@@ -9,12 +9,12 @@ class TreeSpec extends AnyFunSuite {
   private def buildTree(n: Int, len: Int, leaf: Int, seed: Long): (HerculesTree, SeriesStore, Array[Array[Float]]) = {
     val cfg = TestUtil.cfg(len, leaf)
     val (ids, data) = TestUtil.dataset(n, len, seed)
-    val (tree, store) = new ParallelBuilder(cfg, BuildMode.Sequential).build(ids, data)
+    val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
     (tree, store, data)
   }
 
   test("root of an empty tree is a single leaf over the whole length") {
-    val tree = new HerculesTree(TestUtil.cfg(32))
+    val tree = new HerculesTree(TestUtil.cfg(32), BuildMode.Hercules)
     assert(tree.root.isLeaf)
     assert(tree.root.ends.toSeq == Seq(32))
     assert(tree.leafCount == 1)
@@ -108,22 +108,22 @@ class TreeSpec extends AnyFunSuite {
     val s = Array.fill(16)(1f)
     val ids = Array.tabulate(20)(_.toLong)
     val data = Array.fill(20)(s.clone)
-    val (tree, store) = new ParallelBuilder(cfg, BuildMode.Sequential).build(ids, data)
+    val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
     assert(tree.root.leavesInorder.map(_.count).sum == 20)
   }
 
-  /** Build `data` in `mode` with a small HBuffer (so the unsplittable leaf
-    * is also spilled), check k-NN answers against brute force, and return
-    * the tree's failed split attempts.
+  /** Build `data` in `mode` on `threads` with a small HBuffer (so the
+    * unsplittable leaf is also spilled), check k-NN answers against brute
+    * force, and return the tree's failed split attempts.
     */
-  private def failedSplitsOf(mode: BuildMode, data: Array[Array[Float]], queries: Seq[Array[Float]]): Int = {
-    val threads = if (mode == BuildMode.Sequential) 1 else 4
+  private def failedSplitsOf(mode: BuildMode, threads: Int, data: Array[Array[Float]],
+                             queries: Seq[Array[Float]]): Int = {
     val cfg = TestUtil.cfg(32, 16, threads).copy(hbufferSlots = 1024)
     val ids = Array.tabulate(data.length)(_.toLong)
     val (tree, store) = new ParallelBuilder(cfg, mode).build(ids, data)
     val failed = tree.failedSplits
     assert(tree.splitAttempts >= failed)
-    val idx = IndexWriter.write(tree, store, updateSynopses = mode == BuildMode.Hercules, threads = threads)
+    val idx = IndexWriter.write(tree, store, threads = threads)
     assert(idx.nSeries == data.length)
     queries.zipWithIndex.foreach { case (q, qi) =>
       TestUtil.assertExact(ids, data, q, 5, idx.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2)), s"$mode q$qi")
@@ -131,15 +131,15 @@ class TreeSpec extends AnyFunSuite {
     failed
   }
 
-  for (mode <- Seq[BuildMode](BuildMode.Sequential, BuildMode.Hercules))
+  for ((mode, threads) <- Seq[(BuildMode, Int)]((BuildMode.PathLocked, 1), (BuildMode.Hercules, 4)))
     test(s"8192 identical series make one failed split attempt ($mode)") {
       val s = SeriesGen.seriesForId("walk", 5, 32, 3)
       val data = Array.fill(8192)(s.clone)
-      val failed = failedSplitsOf(mode, data, Seq(s, SeriesGen.seriesForId("walk", 6, 32, 3)))
+      val failed = failedSplitsOf(mode, threads, data, Seq(s, SeriesGen.seriesForId("walk", 6, 32, 3)))
       assert(failed == 1)
     }
 
-  for (mode <- Seq[BuildMode](BuildMode.Sequential, BuildMode.Hercules))
+  for ((mode, threads) <- Seq[(BuildMode, Int)]((BuildMode.PathLocked, 1), (BuildMode.Hercules, 4)))
     test(s"a 10%-flat mix makes O(1) failed split attempts on the flat leaf ($mode)") {
       // Flat lines z-normalize to all zeros: 800 copies of one series. Only
       // a walk routed into the flat leaf's region makes it try again (8
@@ -147,7 +147,7 @@ class TreeSpec extends AnyFunSuite {
       // that arrive after the leaf is full.
       val data = Array.tabulate(8000)(i =>
         if (i % 10 == 0) new Array[Float](32) else SeriesGen.seriesForId("walk", i, 32, 4))
-      val failed = failedSplitsOf(mode, data, Seq(data(0), data(1), SeriesGen.seriesForId("walk", 9001, 32, 4)))
+      val failed = failedSplitsOf(mode, threads, data, Seq(data(0), data(1), SeriesGen.seriesForId("walk", 9001, 32, 4)))
       assert(failed >= 1 && failed <= 16, s"$failed failed split attempts")
     }
 

@@ -48,9 +48,15 @@ class WriterSpec extends AnyFunSuite {
     }
   }
 
-  for ((writerThreads, seed) <- Seq((1, 4), (4, 5)))
-    test(s"internal synopses cover every subtree member (writerThreads=$writerThreads)") {
-      val (idx, _, _) = build(500, 4, writerThreads, seed)
+  // Hercules trees get their synopses from the writer, path-locked trees
+  // from their inserts, on any thread count.
+  for ((label, mode, buildThreads, writerThreads, seed) <- Seq(
+         ("writerThreads=1", BuildMode.Hercules, 4, 1, 4L),
+         ("writerThreads=4", BuildMode.Hercules, 4, 4, 5L),
+         ("PathLocked, buildThreads=1", BuildMode.PathLocked, 1, 1, 4L),
+         ("PathLocked, buildThreads=4", BuildMode.PathLocked, 4, 4, 5L)))
+    test(s"internal synopses cover every subtree member ($label)") {
+      val (idx, _, _) = build(500, buildThreads, writerThreads, seed, mode)
       def membersOf(n: Node): Seq[Array[Float]] =
         n.leavesInorder.toSeq.flatMap { leaf =>
           (leaf.filePos until leaf.filePos + leaf.leafSize).map { i =>
@@ -88,7 +94,7 @@ class WriterSpec extends AnyFunSuite {
   }
 
   test("sequential (DSTree*) build without writer synopsis pass is also covering") {
-    val (idx, _, _) = build(400, 1, 1, 7, BuildMode.Sequential)
+    val (idx, _, _) = build(400, 1, 1, 7, BuildMode.PathLocked)
     // the LB must never exceed a member's true distance — covering synopses
     val q = SeriesGen.dataset("walk", 1, 32, 1234)(0)
     val qc = new SeriesCtx(q)
