@@ -1,6 +1,7 @@
 package repro.jobs
 
-import repro.core.{QueryKnobs, SeriesGen}
+import repro.core.SeriesGen
+import repro.experiments.Runner
 import repro.spark.Distributed
 
 /** Stage 2 of the paper's pipeline: load a saved per-partition index and
@@ -21,7 +22,8 @@ object QueryJob {
     try {
       val built = Distributed.loadFromDir(spark, dir)
       val queries = SeriesGen.queries(kind, workload, nQ, nSeries, len, 20220601L)
-      val res = Distributed.knnBatch(built, queries, QueryKnobs(k = k, lmax = 8, threads = 1))
+      // One whole-index Lmax of 8, shared across the partitions.
+      val res = Distributed.knnBatch(built, queries, Runner.scaleKnobs(Runner.knobs(k), built.partitions))
       println(f"answered $nQ $workload ${k}NN queries: avg ${res.avgQueryMs}%.2f ms/query, " +
         f"${res.avgAccessFraction * 100}%.1f%% data accessed")
       res.neighbors.zipWithIndex.foreach { case (nbs, qi) =>

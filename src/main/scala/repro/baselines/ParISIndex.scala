@@ -48,7 +48,8 @@ final class ParISIndex(
 
     // SIMS filtering: parallel LB_SAX over every summary in LSDFile.
     val t = knobs.threads
-    val found = refiner.filter(FlatSeries.blocks(nSeries, 4096), t)((_, j) => isax.lbSax2(paaQ, lsd, j * isax.segments))
+    val table = isax.queryTable(paaQ)
+    val found = refiner.filter(FlatSeries.blocks(nSeries, 4096), t)((_, j) => table.lb2(lsd, j * isax.segments))
     stats.saxChecked.addAndGet(nSeries)
     val candidates = Refiner.inOrder(found)
     stats.candidateSeries = candidates.length

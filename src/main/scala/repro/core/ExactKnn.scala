@@ -10,8 +10,9 @@ import scala.collection.mutable.ArrayBuffer
   * LRDFile position); if EAPCA pruning is below `EAPCA_TH` a single-thread
   * skip-sequential scan finishes the query.
   * Step 3 — candidate series: parallel workers filter LCList's series with
-  * `LB_SAX` into per-thread SCLists; if SAX pruning is below `SAX_TH` a
-  * skip-sequential scan finishes the query.
+  * `LB_SAX`, read from a table built once per query, into per-thread
+  * SCLists; if SAX pruning is below `SAX_TH` a skip-sequential scan finishes
+  * the query.
   * Step 4 — parallel refinement of SCList with early-abandoning real
   * distances and an atomically-updated result set.
   */
@@ -60,9 +61,9 @@ object ExactKnn {
         // to refinement, carrying its leaf's EAPCA bound.
         refiner.filter(ranges, threads)((r, _) => lcSorted(r)._2)
       } else {
-        val paaQ = idx.isax.paa(q)
+        val table = idx.isax.queryTable(idx.isax.paa(q))
         val segs = idx.isax.segments
-        val found = refiner.filter(ranges, threads)((_, i) => idx.isax.lbSax2(paaQ, idx.lsd, i * segs))
+        val found = refiner.filter(ranges, threads)((_, i) => table.lb2(idx.lsd, i * segs))
         stats.saxChecked.addAndGet(ranges.iterator.map(_.length.toLong).sum)
         val scCount = found.iterator.map(_.size.toLong).sum
         stats.candidateSeries = scCount

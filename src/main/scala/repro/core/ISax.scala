@@ -58,25 +58,65 @@ final class ISax(val n: Int, val segments: Int, val cardinality: Int) extends Se
 
   /** Squared `LB_SAX` between a query PAA and an iSAX word stored at
     * `words[off, off+segments)`. Zero gap when the query PAA value falls
-    * inside the symbol's region.
+    * inside the symbol's region. The reference form; a query that bounds
+    * many words uses its [[queryTable]].
     */
   def lbSax2(paaQ: Array[Double], words: Array[Byte], off: Int): Double = {
     var i = 0
     var acc = 0.0
     while (i < segments) {
-      val sym = words(off + i) & 0xff
-      val q = paaQ(i)
-      val lo = if (sym == 0) Double.NegativeInfinity else breakpoints(sym - 1)
-      val hi = if (sym == breakpoints.length) Double.PositiveInfinity else breakpoints(sym)
-      val gap = if (q < lo) lo - q else if (q > hi) q - hi else 0.0
-      acc += (ends(i + 1) - ends(i)) * gap * gap
+      acc += term(i, paaQ(i), words(off + i) & 0xff)
       i += 1
     }
     acc
   }
+
+  /** The `LB_SAX` terms of one query, built from its PAA: the term of every
+    * (segment, symbol) pair, so bounding a word takes one lookup per segment.
+    */
+  def queryTable(paaQ: Array[Double]): ISax.QueryTable = {
+    val terms = new Array[Double](segments * cardinality)
+    var i = 0
+    while (i < segments) {
+      var sym = 0
+      while (sym < cardinality) { terms(i * cardinality + sym) = term(i, paaQ(i), sym); sym += 1 }
+      i += 1
+    }
+    new ISax.QueryTable(segments, cardinality, terms)
+  }
+
+  /** What `LB_SAX` adds for segment `i`, query PAA value `q` and symbol
+    * `sym`: the segment length times the squared gap from `q` to the
+    * symbol's region.
+    */
+  private def term(i: Int, q: Double, sym: Int): Double = {
+    val lo = if (sym == 0) Double.NegativeInfinity else breakpoints(sym - 1)
+    val hi = if (sym == breakpoints.length) Double.PositiveInfinity else breakpoints(sym)
+    val gap = if (q < lo) lo - q else if (q > hi) q - hi else 0.0
+    (ends(i + 1) - ends(i)) * gap * gap
+  }
 }
 
 object ISax {
+
+  /** One query's `LB_SAX` terms, `terms(segment * cardinality + symbol)`
+    * (see [[ISax.queryTable]]). Immutable, so threads may share it.
+    */
+  final class QueryTable private[ISax] (segments: Int, cardinality: Int, terms: Array[Double]) {
+
+    /** Squared `LB_SAX` of the word at `words[off, off+segments)`: its terms
+      * added in segment order, bit-identical to [[ISax.lbSax2]].
+      */
+    def lb2(words: Array[Byte], off: Int): Double = {
+      var i = 0
+      var acc = 0.0
+      while (i < segments) {
+        acc += terms(i * cardinality + (words(off + i) & 0xff))
+        i += 1
+      }
+      acc
+    }
+  }
 
   /** Build the iSAX codec for an index config. */
   def apply(cfg: IndexConfig): ISax =

@@ -19,7 +19,7 @@ import scala.collection.mutable.ArrayBuffer
 object IndexWriter {
 
   /** Materialize `tree` (+ its HBuffer/spill contents) into a queryable
-    * [[HerculesIndex]].
+    * [[HerculesIndex]], then close `store`, deleting its spill directory.
     *
     * @param threads WriteIndexWorker count (1 = NoWPara ablation)
     */
@@ -40,9 +40,9 @@ object IndexWriter {
     val hercules = tree.mode == BuildMode.Hercules
     val lsd = if (hercules) new Array[Byte](n * isax.segments) else null
 
-    Par.claim(math.max(1, threads), leaves.length) { (_, j) =>
+    try Par.claim(math.max(1, threads), leaves.length) { (_, j) =>
       processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, hercules)
-    }
+    } finally store.close()
 
     // WriteIndexTree: fix subtree counts (post-order) and drop build state.
     def finish(node: Node): Int =

@@ -35,8 +35,9 @@ object BuildMode {
   * by [[catchUpInserts]]), then resets the cursor to the next chunk.
   *
   * An insert that throws records its exception and its worker still reaches
-  * the barrier, whose action then ends the build; [[build]] rethrows the
-  * first such exception. No worker can wait on a barrier another has left.
+  * the barrier, whose action then ends the build; [[build]] closes the
+  * HBuffer's spill directory and rethrows the first such exception. No
+  * worker can wait on a barrier another has left.
   *
   * Deviations from the paper (noted in DESIGN.md): there is no read
   * coordinator and no second barrier, as the input is already in memory and
@@ -51,7 +52,8 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
   def catchUpInserts: Int = catchUps
 
   /** Build the tree over `(ids, data)`; returns the tree plus the HBuffer
-    * (still holding unflushed leaf data — the IndexWriter consumes it).
+    * (still holding unflushed leaf data — the IndexWriter consumes it and
+    * closes it; a caller that stops here calls `close` itself).
     */
   def build(ids: Array[Long], data: Array[Array[Float]]): (HerculesTree, SeriesStore) = {
     require(ids.length == data.length)
@@ -107,7 +109,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
         barrier.await()
       }
     }
-    if (failure.get != null) throw failure.get
+    if (failure.get != null) { store.close(); throw failure.get }
     (tree, store)
   }
 }

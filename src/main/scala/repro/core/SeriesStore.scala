@@ -118,6 +118,16 @@ final class SeriesStore(
     leaf.spilledCount = 0
   }
 
+  /** Delete every spill file left and the spill directory. The store must
+    * not spill again; calling it twice is harmless.
+    */
+  def close(): Unit = if (Files.exists(spillRoot)) {
+    val files = Files.list(spillRoot)
+    try files.forEach(f => Files.deleteIfExists(f))
+    finally files.close()
+    Files.deleteIfExists(spillRoot)
+  }
+
   /** Encode `n` records (`put` writes record `r`) and append them to
     * `leaf`'s spill file with one write.
     */
@@ -154,7 +164,8 @@ final class SeriesStore(
 
 object SeriesStore {
 
-  /** Create a store with a fresh temp spill directory.
+  /** Create a store with a fresh temp spill directory, which [[close]]
+    * deletes.
     *
     * @param totalSlots capacity across all workers; rounded up so each region
     *                   holds at least `minRegion` series (the DBuffer chunk:
@@ -164,7 +175,6 @@ object SeriesStore {
   def create(seriesLen: Int, numWorkers: Int, totalSlots: Int, minRegion: Int): SeriesStore = {
     val region = math.max(minRegion, (totalSlots + numWorkers - 1) / numWorkers)
     val dir = Files.createTempDirectory("hercules-spill-")
-    dir.toFile.deleteOnExit()
     new SeriesStore(seriesLen, numWorkers, region, dir)
   }
 }

@@ -15,13 +15,16 @@ import repro.core.{IndexConfig, KnnSet, Neighbor, QueryKnobs, QueryStats}
   */
 object Distributed {
 
-  /** A built per-partition index collection plus build-time measurements. */
+  /** A built per-partition index collection plus build-time measurements;
+    * `seriesLength` is the length of every indexed series, and of a query.
+    */
   final case class BuiltIndex(
       rdd: RDD[LocalIndex],
       buildWallMs: Double,
       partitions: Int,
       totalSeries: Long,
       maxPartitionBuildMs: Double,
+      seriesLength: Int,
   ) {
     /** Release cached partitions. */
     def unpersist(): Unit = rdd.unpersist(blocking = false)
@@ -64,11 +67,21 @@ object Distributed {
     rdd.count()
     val wallMs = (System.nanoTime() - t0) / 1e6
     val stats = rdd.map(i => (i.nSeries, i.buildMs)).collect()
-    BuiltIndex(rdd, wallMs, partitions, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max)
+    BuiltIndex(rdd, wallMs, partitions, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max,
+      cfg.seriesLength)
   }
 
-  /** Answer a broadcast batch of queries exactly; merge per-partition top-k. */
+  /** Answer a broadcast batch of queries exactly; merge per-partition top-k.
+    * Rejects, before any task is sent, a query of another length or with a
+    * NaN or infinite point, naming its index in `queries`.
+    */
   def knnBatch(built: BuiltIndex, queries: Array[Array[Float]], knobs: QueryKnobs): QueryBatchResult = {
+    queries.iterator.zipWithIndex.foreach { case (q, qi) =>
+      require(q.length == built.seriesLength,
+        s"query $qi has length ${q.length}, expected ${built.seriesLength}")
+      val bad = LocalIndex.firstNonFinite(q)
+      require(bad < 0, s"query $qi has the non-finite value ${q(bad)} at index $bad")
+    }
     val sc = built.rdd.sparkContext
     val bq = sc.broadcast(queries)
     val t0 = System.nanoTime()
@@ -138,7 +151,9 @@ object Distributed {
         finally in.close()
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val stats = rdd.map(i => (i.nSeries, i.buildMs)).collect()
-    BuiltIndex(rdd, 0.0, files.length, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max)
+    val stats = rdd.map(i => (i.nSeries, i.buildMs, i.seriesLength)).collect()
+    val lengths = stats.map(_._3).distinct
+    require(lengths.length == 1, s"partitions under $dir index series of lengths ${lengths.mkString(", ")}")
+    BuiltIndex(rdd, 0.0, files.length, stats.map(_._1).sum, stats.map(_._2).max, lengths.head)
   }
 }

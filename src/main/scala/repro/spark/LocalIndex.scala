@@ -43,7 +43,7 @@ object LocalIndex {
   )
 
   /** Index of the first NaN or infinite point of `s`, or -1. */
-  private def firstNonFinite(s: Array[Float]): Int = {
+  private[spark] def firstNonFinite(s: Array[Float]): Int = {
     var i = 0
     while (i < s.length && java.lang.Float.isFinite(s(i))) i += 1
     if (i < s.length) i else -1

@@ -1,7 +1,9 @@
 package repro.core
 
+import java.nio.file.{Files, Path, Paths}
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 
@@ -79,9 +81,11 @@ class BuilderSpec extends AnyFunSuite {
     for (seed <- 1 to 3) {
       val (ids, data) = TestUtil.dataset(3000, 32, seed)
       val builder = new ParallelBuilder(cfg, BuildMode.Hercules)
-      val (tree, _) = builder.build(ids, data)
-      assert(builder.catchUpInserts == 0, s"seed $seed")
-      assert(tree.root.leavesInorder.map(_.count).sum == 3000)
+      val (tree, store) = builder.build(ids, data)
+      try {
+        assert(builder.catchUpInserts == 0, s"seed $seed")
+        assert(tree.root.leavesInorder.map(_.count).sum == 3000)
+      } finally store.close()
     }
   }
 
@@ -92,8 +96,10 @@ class BuilderSpec extends AnyFunSuite {
       val (ids, data) = TestUtil.dataset(1500, 32, 31)
       val builder = new ParallelBuilder(cfg, mode)
       val (_, store) = builder.build(ids, data)
-      assert(store.regionSlots < 2 * cfg.dbSize)
-      assert(store.flushCount > 0)
+      try {
+        assert(store.regionSlots < 2 * cfg.dbSize)
+        assert(store.flushCount > 0)
+      } finally store.close()
       checkBuild(mode, cfg, 1500, 31)
     }
 
@@ -105,4 +111,23 @@ class BuilderSpec extends AnyFunSuite {
       val build = Future(new ParallelBuilder(cfg, mode).build(ids, data))(ExecutionContext.global)
       intercept[IndexOutOfBoundsException](Await.result(build, 60.seconds))
     }
+
+  /** The HBuffer spill directories in the temp directory. */
+  private def spillDirs(): Set[Path] = {
+    val dirs = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))
+    try dirs.iterator.asScala.filter(_.getFileName.toString.startsWith("hercules-spill-")).toSet
+    finally dirs.close()
+  }
+
+  test("neither a flushing build nor a failing one leaves its spill directory") {
+    val before = spillDirs()
+    val cfg = TestUtil.cfg(32, 8, 3).copy(dbSize = 24, hbufferSlots = 96, flushThreshold = 1)
+    val (ids, data) = TestUtil.dataset(600, 32, 99)
+    val idx = HerculesIndex.build(ids, data, cfg)
+    assert(idx.nSeries == 600)
+    assert(spillDirs() -- before == Set.empty, "after a forced-flush build")
+    data(300) = data(300).take(20)
+    intercept[IndexOutOfBoundsException](new ParallelBuilder(cfg, BuildMode.Hercules).build(ids, data))
+    assert(spillDirs() -- before == Set.empty, "after a failing build")
+  }
 }

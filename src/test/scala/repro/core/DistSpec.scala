@@ -38,4 +38,35 @@ class DistSpec extends AnyFunSuite {
         assert(Dist.ed2Flat(q, flat, i * 24, Double.PositiveInfinity) == Dist.ed2(q, s))
       }
     }
+
+  /** One running sum over the points in order: the definition. */
+  private def naive(a: Array[Float], b: Array[Float]): Double =
+    a.indices.map { i => val d = a(i).toDouble - b(i); d * d }.sum
+
+  private val lengths = Seq(1, 3, 4, 15, 16, 17, 33, 96, 100, 256, 257)
+
+  for (len <- lengths)
+    test(s"ed2Flat matches a naive sum to 1e-12 relative (len $len)") {
+      val rng = new Random(len)
+      for (_ <- 1 to 20) {
+        val q = Array.fill(len)(rng.nextGaussian().toFloat)
+        val flat = Array.fill(3 * len)(rng.nextGaussian().toFloat * 2)
+        val off = rng.nextInt(3) * len
+        val want = naive(q, flat.slice(off, off + len))
+        val got = Dist.ed2Flat(q, flat, off, Double.PositiveInfinity)
+        assert(math.abs(got - want) <= 1e-12 * want, s"$got vs $want")
+      }
+    }
+
+  for (len <- lengths)
+    test(s"ed2Flat is the full value up to the bound and above it past the bound (len $len)") {
+      val rng = new Random(1000 + len)
+      val q = Array.fill(len)(rng.nextGaussian().toFloat)
+      val s = Array.fill(len)(rng.nextGaussian().toFloat)
+      val full = Dist.ed2(q, s)
+      val below = Seq(0.0, full / 16, full / 2, math.nextDown(full))
+      val above = Seq(full, math.nextUp(full), full * 2, Double.PositiveInfinity)
+      below.foreach(b => assert(Dist.ed2Flat(q, s, 0, b) > b, s"bound $b"))
+      above.foreach(b => assert(Dist.ed2Flat(q, s, 0, b) == full, s"bound $b"))
+    }
 }

@@ -99,4 +99,26 @@ class ISaxSpec extends AnyFunSuite {
       assert(lbC <= lbF + 1e-6) // finer alphabet can only tighten
     }
   }
+
+  for (card <- Seq(4, 256))
+    test(s"the query table equals lbSax2 for every segment and symbol (len 100, cardinality $card)") {
+      val s = new ISax(100, 16, card)
+      val rng = new Random(card)
+      val bp = s.breakpoints
+      // Walk PAAs, PAAs exactly on breakpoints, and PAAs far outside them.
+      val paas = Seq.tabulate(3)(i => s.paa(SeriesGen.dataset("walk", 1, 100, card + i)(0))) ++
+        Seq.tabulate(3)(i => Array.tabulate(16)(j => bp((i * 16 + j * 7) % bp.length))) :+
+        Array.tabulate(16)(j => if (j % 2 == 0) -50.0 else 50.0)
+      // Every symbol in every segment, then random words, packed at offsets.
+      val words = (0 until card).map(sym => Array.fill(16)(sym.toByte)) ++
+        Seq.fill(64)(Array.fill(16)(rng.nextInt(card).toByte))
+      val packed = words.flatten.toArray
+      paas.foreach { paaQ =>
+        val table = s.queryTable(paaQ)
+        words.indices.foreach { w =>
+          assert(table.lb2(packed, w * 16) == s.lbSax2(paaQ, packed, w * 16),
+            s"word ${words(w).map(_ & 0xff).mkString(",")} paa ${paaQ.mkString(",")}")
+        }
+      }
+    }
 }

@@ -36,26 +36,30 @@ class SeriesStoreSpec extends AnyFunSuite {
 
   test("the spill codec round-trips ids near Long.MaxValue and -0.0f") {
     val store = SeriesStore.create(Len, 1, 8, 1)
-    val leaf = new Node(Array(Len), 0)
-    store.spill(leaf, records)
-    assert(leaf.spilledCount == records.length)
-    assert(Files.readAllBytes(leaf.spillFile).sameElements(dataOutputBytes(records)))
-    assertSame(store.readSpill(leaf).toSeq, records)
-    store.dropSpill(leaf)
+    try {
+      val leaf = new Node(Array(Len), 0)
+      store.spill(leaf, records)
+      assert(leaf.spilledCount == records.length)
+      assert(Files.readAllBytes(leaf.spillFile).sameElements(dataOutputBytes(records)))
+      assertSame(store.readSpill(leaf).toSeq, records)
+      store.dropSpill(leaf)
+    } finally store.close()
   }
 
   test("a flush appends HBuffer slots in the same format after earlier records") {
     val store = SeriesStore.create(Len, 1, 8, 1)
-    val leaf = new Node(Array(Len), 0)
-    val (spilled, buffered) = records.splitAt(2)
-    store.spill(leaf, spilled)
-    buffered.foreach { case (id, s) => leaf.slots += store.alloc(0, id, s) }
-    assertSame(store.gather(leaf).toSeq, records)
-    store.flushAll(leaf)
-    assert(store.flushCount == 1 && store.freeSlots(0) == 8)
-    assert(leaf.slots.isEmpty && leaf.spilledCount == records.length)
-    assert(Files.readAllBytes(leaf.spillFile).sameElements(dataOutputBytes(records)))
-    assertSame(store.gather(leaf).toSeq, records)
-    store.dropSpill(leaf)
+    try {
+      val leaf = new Node(Array(Len), 0)
+      val (spilled, buffered) = records.splitAt(2)
+      store.spill(leaf, spilled)
+      buffered.foreach { case (id, s) => leaf.slots += store.alloc(0, id, s) }
+      assertSame(store.gather(leaf).toSeq, records)
+      store.flushAll(leaf)
+      assert(store.flushCount == 1 && store.freeSlots(0) == 8)
+      assert(leaf.slots.isEmpty && leaf.spilledCount == records.length)
+      assert(Files.readAllBytes(leaf.spillFile).sameElements(dataOutputBytes(records)))
+      assertSame(store.gather(leaf).toSeq, records)
+      store.dropSpill(leaf)
+    } finally store.close()
   }
 }

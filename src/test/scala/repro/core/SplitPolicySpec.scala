@@ -95,18 +95,20 @@ class SplitPolicySpec extends AnyFunSuite {
     val data = Array.tabulate(2000)(i => walk(i.toLong))
     val cfg = IndexConfig(seriesLength = Len, leafCapacity = 24, dbSize = 64)
     val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
-    def members(n: Node): IndexedSeq[Array[Float]] =
-      n.leavesInorder.flatMap(store.gather).map(_._2).toIndexedSeq
-    def walkTree(n: Node): Seq[Node] =
-      if (n.isLeaf) Seq(n)
-      else (if (n.left.isLeaf && n.right.isLeaf) Seq(n) else Nil) ++ walkTree(n.left) ++ walkTree(n.right)
-    val nodes = walkTree(tree.root)
-    assert(nodes.exists(_.segCount >= 4))
-    nodes.foreach { n =>
-      val series = members(n)
-      val expected = ReferenceSplitPolicy.choose(n, series)
-      val actual = SplitPolicy.choose(n, series)
-      assert(same(expected, actual), s"node ${n.id}: expected ${describe(expected)}, got ${describe(actual)}")
-    }
+    try {
+      def members(n: Node): IndexedSeq[Array[Float]] =
+        n.leavesInorder.flatMap(store.gather).map(_._2).toIndexedSeq
+      def walkTree(n: Node): Seq[Node] =
+        if (n.isLeaf) Seq(n)
+        else (if (n.left.isLeaf && n.right.isLeaf) Seq(n) else Nil) ++ walkTree(n.left) ++ walkTree(n.right)
+      val nodes = walkTree(tree.root)
+      assert(nodes.exists(_.segCount >= 4))
+      nodes.foreach { n =>
+        val series = members(n)
+        val expected = ReferenceSplitPolicy.choose(n, series)
+        val actual = SplitPolicy.choose(n, series)
+        assert(same(expected, actual), s"node ${n.id}: expected ${describe(expected)}, got ${describe(actual)}")
+      }
+    } finally store.close()
   }
 }

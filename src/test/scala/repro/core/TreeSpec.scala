@@ -6,11 +6,15 @@ import repro.TestUtil
 /** Tree structure invariants: routing, splits, segmentation refinement. */
 class TreeSpec extends AnyFunSuite {
 
-  private def buildTree(n: Int, len: Int, leaf: Int, seed: Long): (HerculesTree, SeriesStore, Array[Array[Float]]) = {
+  /** Build a path-locked tree over `n` walks and pass it, its HBuffer and
+    * the data to `body`; the HBuffer is closed afterwards.
+    */
+  private def withTree(n: Int, len: Int, leaf: Int, seed: Long)(
+      body: (HerculesTree, SeriesStore, Array[Array[Float]]) => Unit): Unit = {
     val cfg = TestUtil.cfg(len, leaf)
     val (ids, data) = TestUtil.dataset(n, len, seed)
     val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
-    (tree, store, data)
+    try body(tree, store, data) finally store.close()
   }
 
   test("root of an empty tree is a single leaf over the whole length") {
@@ -22,82 +26,88 @@ class TreeSpec extends AnyFunSuite {
 
   for (seed <- 1 to 4)
     test(s"every series routes to the leaf that stores it (seed $seed)") {
-      val (tree, store, data) = buildTree(300, 32, 16, seed)
-      val stored = tree.root.leavesInorder.flatMap(l => store.gather(l)).toMap
-      data.zipWithIndex.foreach { case (s, i) =>
-        val leaf = tree.root.leafFor(s)
-        val members = store.gather(leaf).map(_._1).toSet
-        assert(members.contains(i.toLong), s"series $i not in its routed leaf")
+      withTree(300, 32, 16, seed) { (tree, store, data) =>
+        val stored = tree.root.leavesInorder.flatMap(l => store.gather(l)).toMap
+        data.zipWithIndex.foreach { case (s, i) =>
+          val leaf = tree.root.leafFor(s)
+          val members = store.gather(leaf).map(_._1).toSet
+          assert(members.contains(i.toLong), s"series $i not in its routed leaf")
+        }
+        assert(stored.size == 300)
       }
-      assert(stored.size == 300)
     }
 
   for (seed <- 1 to 4)
     test(s"leaf sizes stay within capacity after splits (seed $seed)") {
-      val (tree, _, _) = buildTree(400, 32, 16, 10 + seed)
-      tree.root.leavesInorder.foreach(l => assert(l.count <= 16, s"leaf ${l.id} has ${l.count}"))
-      assert(tree.leafCount > 1)
+      withTree(400, 32, 16, 10 + seed) { (tree, _, _) =>
+        tree.root.leavesInorder.foreach(l => assert(l.count <= 16, s"leaf ${l.id} has ${l.count}"))
+        assert(tree.leafCount > 1)
+      }
     }
 
   test("children partition the parent exactly") {
-    val (tree, store, _) = buildTree(200, 32, 16, 42)
-    def walk(n: Node): Unit =
-      if (!n.isLeaf) {
-        assert(n.left.parent eq n)
-        assert(n.right.parent eq n)
-        assert(n.left != null && n.right != null)
-        walk(n.left); walk(n.right)
-      } else assert(store.gather(n).size == n.count)
-    walk(tree.root)
-    val total = tree.root.leavesInorder.map(_.count).sum
-    assert(total == 200)
+    withTree(200, 32, 16, 42) { (tree, store, _) =>
+      def walk(n: Node): Unit =
+        if (!n.isLeaf) {
+          assert(n.left.parent eq n)
+          assert(n.right.parent eq n)
+          assert(n.left != null && n.right != null)
+          walk(n.left); walk(n.right)
+        } else assert(store.gather(n).size == n.count)
+      walk(tree.root)
+      val total = tree.root.leavesInorder.map(_.count).sum
+      assert(total == 200)
+    }
   }
 
   test("child segmentations refine the parent (H same, V one extra)") {
-    val (tree, _, _) = buildTree(500, 32, 16, 7)
-    var sawV = false
-    var sawH = false
-    def walk(n: Node): Unit = if (!n.isLeaf) {
-      val s = n.split
-      if (s.vertical) {
-        sawV = true
-        assert(s.childEnds.length == n.ends.length + 1)
-        assert(n.ends.toSet.subsetOf(s.childEnds.toSet))
-      } else {
-        sawH = true
-        assert(s.childEnds.toSeq == n.ends.toSeq)
+    withTree(500, 32, 16, 7) { (tree, _, _) =>
+      var sawV = false
+      var sawH = false
+      def walk(n: Node): Unit = if (!n.isLeaf) {
+        val s = n.split
+        if (s.vertical) {
+          sawV = true
+          assert(s.childEnds.length == n.ends.length + 1)
+          assert(n.ends.toSet.subsetOf(s.childEnds.toSet))
+        } else {
+          sawH = true
+          assert(s.childEnds.toSeq == n.ends.toSeq)
+        }
+        assert(n.left.ends.toSeq == s.childEnds.toSeq)
+        assert(n.right.ends.toSeq == s.childEnds.toSeq)
+        walk(n.left); walk(n.right)
       }
-      assert(n.left.ends.toSeq == s.childEnds.toSeq)
-      assert(n.right.ends.toSeq == s.childEnds.toSeq)
-      walk(n.left); walk(n.right)
+      walk(tree.root)
+      assert(sawH || sawV) // at least one split happened
     }
-    walk(tree.root)
-    assert(sawH || sawV) // at least one split happened
   }
 
   test("routing respects the split value on the routing segment") {
-    val (tree, store, _) = buildTree(300, 32, 16, 12)
-    def walk(n: Node): Unit = if (!n.isLeaf) {
-      val s = n.split
-      n.left.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
-        assert(s.statOf(sv) < s.value)
+    withTree(300, 32, 16, 12) { (tree, store, _) =>
+      def walk(n: Node): Unit = if (!n.isLeaf) {
+        val s = n.split
+        n.left.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
+          assert(s.statOf(sv) < s.value)
+        }
+        n.right.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
+          assert(s.statOf(sv) >= s.value)
+        }
+        walk(n.left); walk(n.right)
       }
-      n.right.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
-        assert(s.statOf(sv) >= s.value)
-      }
-      walk(n.left); walk(n.right)
+      walk(tree.root)
     }
-    walk(tree.root)
   }
 
   test("leaf synopses cover their members") {
-    val (tree, store, _) = buildTree(300, 32, 16, 13)
-    tree.root.leavesInorder.foreach { leaf =>
-      store.gather(leaf).foreach { case (_, s) =>
-        for (j <- 0 until leaf.segCount) {
-          val (m, sd) = Stats.meanSd(s, leaf.segStart(j), leaf.ends(j))
-          assert(m >= leaf.muMin(j) - 1e-9 && m <= leaf.muMax(j) + 1e-9)
-          assert(sd >= leaf.sdMin(j) - 1e-9 && sd <= leaf.sdMax(j) + 1e-9)
+    withTree(300, 32, 16, 13) { (tree, store, _) =>
+      tree.root.leavesInorder.foreach { leaf =>
+        store.gather(leaf).foreach { case (_, s) =>
+          for (j <- 0 until leaf.segCount) {
+            val (m, sd) = Stats.meanSd(s, leaf.segStart(j), leaf.ends(j))
+            assert(m >= leaf.muMin(j) - 1e-9 && m <= leaf.muMax(j) + 1e-9)
+            assert(sd >= leaf.sdMin(j) - 1e-9 && sd <= leaf.sdMax(j) + 1e-9)
+          }
         }
       }
     }
@@ -109,7 +119,8 @@ class TreeSpec extends AnyFunSuite {
     val ids = Array.tabulate(20)(_.toLong)
     val data = Array.fill(20)(s.clone)
     val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
-    assert(tree.root.leavesInorder.map(_.count).sum == 20)
+    try assert(tree.root.leavesInorder.map(_.count).sum == 20)
+    finally store.close()
   }
 
   /** Build `data` in `mode` on `threads` with a small HBuffer (so the

@@ -93,7 +93,25 @@ class DistributedSpec extends SparkSpec {
     }
   }
 
-  test("knnBatch reports timing and access stats") {
+  test("knnBatch rejects a bad query on the driver, naming its index") {
+    val built = Distributed.build(df, "hercules", cfg, 2)
+    try {
+      assert(built.seriesLength == len)
+      val q = queries(0)
+      val bad = Seq(
+        "length 23" -> q.take(len - 1),
+        "length 25" -> (q :+ 0f),
+        "NaN at index 5" -> q.updated(5, Float.NaN),
+        "-Infinity at index 0" -> q.updated(0, Float.NegativeInfinity))
+      bad.foreach { case (what, b) =>
+        // An IllegalArgumentException, not a SparkException: no task ran.
+        val e = intercept[IllegalArgumentException](Distributed.knnBatch(built, Array(q, q, b), knobs))
+        assert(e.getMessage.contains("query 2") && e.getMessage.contains(what), e.getMessage)
+      }
+    } finally built.unpersist()
+  }
+
+    test("knnBatch reports timing and access stats") {
     val built = Distributed.build(df, "hercules", cfg, 2)
     try {
       val res = Distributed.knnBatch(built, queries, knobs)
@@ -113,6 +131,7 @@ class DistributedSpec extends SparkSpec {
         try {
           assert(loaded.partitions == 3)
           assert(loaded.totalSeries == n)
+          assert(loaded.seriesLength == len)
           val a = Distributed.knnBatch(built, queries, knobs).neighbors
           val b = Distributed.knnBatch(loaded, queries, knobs).neighbors
           a.zip(b).foreach { case (x, y) =>
