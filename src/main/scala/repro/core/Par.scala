@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ExecutionException
 import java.util.concurrent.atomic.AtomicInteger
 
 /** Tiny shared thread-pool helper for the paper's worker-pool patterns. */
@@ -7,12 +8,19 @@ object Par {
   private lazy val pool = java.util.concurrent.Executors.newCachedThreadPool(
     (r: Runnable) => { val t = new Thread(r, "repro-par"); t.setDaemon(true); t })
 
-  /** Run `body(0…threads-1)` concurrently and wait; inline when threads==1. */
+  /** Run `body(0…threads-1)` concurrently and wait for every worker; inline
+    * when threads==1. A worker's throw is rethrown, as itself, once all
+    * have ended, so a caller's `finally` never runs under a live worker.
+    */
   def run(threads: Int)(body: Int => Unit): Unit =
     if (threads <= 1) body(0)
     else {
       val futs = (0 until threads).map(t => pool.submit(new Runnable { def run(): Unit = body(t) }))
-      futs.foreach(_.get())
+      val failures = futs.flatMap { f =>
+        try { f.get(); None }
+        catch { case e: ExecutionException => Some(e.getCause) }
+      }
+      failures.headOption.foreach(e => throw e)
     }
 
   /** Run `threads` workers that claim the items `0…n-1` one at a time from

@@ -5,7 +5,7 @@ import java.nio.file.{Files, Paths}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.{IndexConfig, KnnSet, Neighbor, QueryKnobs, QueryStats}
+import repro.core.{IndexConfig, KnnSet, Neighbor, Par, QueryKnobs, QueryStats}
 
 /** Distributed build + query answering: one [[LocalIndex]] per partition via
   * `mapPartitions`, broadcast query batches, and an exact driver-side top-k
@@ -32,6 +32,11 @@ object Distributed {
 
   /** Results of a query batch: merged exact answers, wall/per-query times,
     * and per-query merged access counters.
+    *
+    * @param wallMs      wall time of the whole batch's job, broadcast to collect
+    * @param perQueryMs  per query, the longest of its partitions' in-task
+    *                    times; each is that query's own wall time, which
+    *                    other queries of the batch may overlap
     */
   final case class QueryBatchResult(
       neighbors: Array[Array[Neighbor]],
@@ -40,7 +45,10 @@ object Distributed {
       perQueryStats: Array[QueryStats],
       totalSeries: Long,
   ) {
-    /** Average per-query wall time (parallel critical path across partitions). */
+    /** Average of [[perQueryMs]]: the slowest partition's time per query,
+      * measured while other queries of the batch may run alongside it, so
+      * it is not `wallMs` divided by the batch size.
+      */
     def avgQueryMs: Double = if (perQueryMs.isEmpty) 0.0 else perQueryMs.sum / perQueryMs.length
     /** Average fraction of the collection accessed per query. */
     def avgAccessFraction: Double =
@@ -71,9 +79,20 @@ object Distributed {
       cfg.seriesLength)
   }
 
+  /** Queries a [[knnBatch]] task answers at once: the cores that the job's
+    * `partitions` leave idle out of Spark's `parallelism`, each query taking
+    * `threads` of them, and at least 1. A job thus never runs more than
+    * `parallelism` query threads, unless one query alone needs more.
+    */
+  def queriesAtOnce(parallelism: Int, partitions: Int, threads: Int): Int =
+    math.max(1, parallelism / (partitions * threads))
+
   /** Answer a broadcast batch of queries exactly; merge per-partition top-k.
-    * Rejects, before any task is sent, a query of another length or with a
-    * NaN or infinite point, naming its index in `queries`.
+    * Each partition's task answers [[queriesAtOnce]] queries concurrently,
+    * one `QueryStats` and result set per query, so answers and counters do
+    * not depend on how many run at once. Rejects, before any task is sent,
+    * a query of another length or with a NaN or infinite point, naming its
+    * index in `queries`.
     */
   def knnBatch(built: BuiltIndex, queries: Array[Array[Float]], knobs: QueryKnobs): QueryBatchResult = {
     queries.iterator.zipWithIndex.foreach { case (q, qi) =>
@@ -83,22 +102,26 @@ object Distributed {
       require(bad < 0, s"query $qi has the non-finite value ${q(bad)} at index $bad")
     }
     val sc = built.rdd.sparkContext
+    val atOnce = queriesAtOnce(sc.defaultParallelism, built.partitions, knobs.threads)
     val bq = sc.broadcast(queries)
-    val t0 = System.nanoTime()
-    val partResults = built.rdd.map { idx =>
-      val qs = bq.value
-      val stats = Array.fill(qs.length)(new QueryStats)
-      val times = new Array[Double](qs.length)
-      val res = Array.tabulate(qs.length) { qi =>
-        val q0 = System.nanoTime()
-        val r = idx.knn(qs(qi), knobs, stats(qi))
-        times(qi) = (System.nanoTime() - q0) / 1e6
-        r
-      }
-      (res, stats, times)
-    }.collect()
-    val wallMs = (System.nanoTime() - t0) / 1e6
-    bq.destroy()
+    val (partResults, wallMs) =
+      try {
+        val t0 = System.nanoTime()
+        val parts = built.rdd.map { idx =>
+          val qs = bq.value
+          val res = new Array[Array[Neighbor]](qs.length)
+          val stats = Array.fill(qs.length)(new QueryStats)
+          val times = new Array[Double](qs.length)
+          // Par.run joins its workers, so every slot is written on return.
+          Par.claim(math.min(atOnce, qs.length), qs.length) { (_, qi) =>
+            val q0 = System.nanoTime()
+            res(qi) = idx.knn(qs(qi), knobs, stats(qi))
+            times(qi) = (System.nanoTime() - q0) / 1e6
+          }
+          (res, stats, times)
+        }.collect()
+        (parts, (System.nanoTime() - t0) / 1e6)
+      } finally bq.destroy()
     val merged = Array.tabulate(queries.length) { qi =>
       val set = new KnnSet(knobs.k)
       partResults.foreach { case (res, _, _) => set.addAll(res(qi)) }

@@ -4,7 +4,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.baselines.BruteForce
-import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, SeriesGen}
+import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, QueryStats, SeriesGen}
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
@@ -111,7 +111,7 @@ class DistributedSpec extends SparkSpec {
     } finally built.unpersist()
   }
 
-    test("knnBatch reports timing and access stats") {
+  test("knnBatch reports timing and access stats") {
     val built = Distributed.build(df, "hercules", cfg, 2)
     try {
       val res = Distributed.knnBatch(built, queries, knobs)
@@ -120,6 +120,48 @@ class DistributedSpec extends SparkSpec {
       assert(res.avgAccessFraction > 0.0 && res.avgAccessFraction <= 1.0)
     } finally built.unpersist()
   }
+
+  test("queriesAtOnce fills the cores the partitions leave idle") {
+    // (parallelism, partitions, threads per query) -> queries at once
+    Seq((4, 1, 1) -> 4, (4, 4, 1) -> 1, (4, 8, 1) -> 1, (4, 1, 4) -> 1, (4, 1, 2) -> 2).foreach {
+      case ((par, parts, threads), want) => assert(Distributed.queriesAtOnce(par, parts, threads) == want)
+    }
+  }
+
+  test("an empty batch returns empty arrays") {
+    val built = Distributed.build(df, "hercules", cfg, 1)
+    try {
+      val res = Distributed.knnBatch(built, Array.empty[Array[Float]], knobs)
+      assert(res.neighbors.isEmpty && res.perQueryMs.isEmpty && res.perQueryStats.isEmpty)
+      assert(res.avgQueryMs == 0.0 && res.avgAccessFraction == 0.0)
+    } finally built.unpersist()
+  }
+
+  /** Every field of a query's access counters and adaptive path. */
+  private def fields(s: QueryStats) =
+    (s.seriesAccessed.get, s.leavesVisited.get, s.saxChecked.get, s.candidateLeaves, s.candidateSeries,
+      s.skipSeqEapca, s.skipSeqSax)
+
+  for (method <- LocalIndex.builders.keys)
+    test(s"$method on 1 partition: a concurrent batch equals one-query calls and brute force") {
+      val parallelism = spark.sparkContext.defaultParallelism
+      val half = 2 * parallelism
+      val qs = SeriesGen.queries("walk", "5%", half, n, len, seed) ++
+        SeriesGen.queries("walk", "ood", half, n, len, seed + 1)
+      val (ids, data) = (Array.tabulate(n)(_.toLong), SeriesGen.dataset("walk", n, len, seed))
+      val built = Distributed.build(df, method, cfg, 1)
+      try {
+        assert(Distributed.queriesAtOnce(parallelism, built.partitions, knobs.threads) == parallelism)
+        val batch = Distributed.knnBatch(built, qs, knobs)
+        qs.indices.foreach { qi =>
+          val one = Distributed.knnBatch(built, Array(qs(qi)), knobs)
+          val got = batch.neighbors(qi).map(nb => (nb.id, nb.dist2)).toSeq
+          assert(got == one.neighbors(0).map(nb => (nb.id, nb.dist2)).toSeq, s"$method q$qi")
+          assert(got == BruteForce.knn(ids, data, qs(qi), k).map(nb => (nb.id, nb.dist2)).toSeq, s"$method q$qi")
+          assert(fields(batch.perQueryStats(qi)) == fields(one.perQueryStats(0)), s"$method q$qi")
+        }
+      } finally built.unpersist()
+    }
 
   test("save/load round-trips the per-partition indexes") {
     for (method <- LocalIndex.builders.keys) {
