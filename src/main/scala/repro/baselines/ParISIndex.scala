@@ -51,10 +51,11 @@ final class ParISIndex(
     val table = isax.queryTable(paaQ)
     val found = refiner.filter(FlatSeries.blocks(nSeries, 4096), t)((_, j) => table.lb2(lsd, j * isax.segments))
     stats.saxChecked.addAndGet(nSeries)
-    stats.candidateSeries = found.iterator.map(_.size.toLong).sum
+    val candidates = Refiner.inOrder(found)
+    stats.candidateSeries = candidates.length
 
-    // Refinement in file order (one consecutive slice per thread, shared BSF).
-    refiner.refine(Refiner.inOrder(found, t))
+    // Refinement in file order (parallel chunks, shared BSF).
+    refiner.refine(candidates.grouped(math.max(1, (candidates.length + t - 1) / t)).toVector)
     refiner.results.toArray
   }
 }

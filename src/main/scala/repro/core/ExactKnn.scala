@@ -70,7 +70,7 @@ object ExactKnn {
         val saxPr = 1.0 - scCount.toDouble / math.max(1L, idx.nSeries.toLong)
         if (knobs.useThresholds && saxPr < knobs.saxTh) {
           // Skip-sequential refinement of SCList in LRDFile order, one thread.
-          refiner.refine(Refiner.inOrder(found))
+          refiner.refine(Vector(Refiner.inOrder(found)))
           stats.skipSeqSax = true
           return results.toArray
         }

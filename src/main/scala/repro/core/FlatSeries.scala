@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 /** The LRDFile layout every method keeps its raw series in: the series at
   * position `pos` is `lrd[pos * len, (pos + 1) * len)` and has id `ids(pos)`.
   */
@@ -60,19 +62,18 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
   /** Lower-bound filter: the `(pos, lb2)` of every position of `ranges`
     * whose squared lower bound `lb2(range index, pos)` passes against the BSF
     * read once per range, one list per worker; `threads` workers claim
-    * ranges one at a time, in index order. The BSF only falls, so [[refine]]
-    * would drop every series the filter drops.
+    * ranges one at a time. The BSF only falls, so [[refine]] would drop every
+    * series the filter drops.
     */
   def filter(ranges: collection.IndexedSeq[Range], threads: Int)(lb2: (Int, Int) => Double): Array[Candidates] = {
     val out = Array.fill(threads)(new Candidates)
     Par.claim(threads, ranges.length) { (t, r) =>
       val range = ranges(r)
       val bsf = results.bsf
-      val list = out(t)
       var pos = range.start
       while (pos < range.end) {
         val b = lb2(r, pos)
-        if (admits(b, bsf)) list.add(pos, b)
+        if (admits(b, bsf)) out(t) += ((pos, b))
         pos += 1
       }
     }
@@ -88,10 +89,10 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
       val list = lists(l)
       var accessed = 0L
       var j = 0
-      while (j < list.size) {
+      while (j < list.length) {
+        val (pos, lb2) = list(j)
         val bsf = results.bsf
-        if (admits(list.lb2(j), bsf)) {
-          val pos = list.pos(j)
+        if (admits(lb2, bsf)) {
           results.add(Dist.ed2Flat(q, lrd, pos * len, bsf), ids(pos))
           accessed += 1
         }
@@ -103,62 +104,12 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
 }
 
 object Refiner {
+  /** Survivors of a lower-bound filter: `(position, squared lower bound)`. */
+  type Candidates = ArrayBuffer[(Int, Double)]
 
-  /** Survivors of a lower-bound filter, in the order added: the `i`th has
-    * LRDFile position `pos(i)` and squared lower bound `lb2(i)`, kept in two
-    * growable primitive arrays.
-    */
-  final class Candidates(capacity: Int = 16) {
-    private var p = new Array[Int](capacity)
-    private var b = new Array[Double](capacity)
-    private var n = 0
-
-    def size: Int = n
-    def pos(i: Int): Int = p(i)
-    def lb2(i: Int): Double = b(i)
-
-    def add(pos: Int, lb2: Double): Unit = {
-      if (n == p.length) {
-        p = java.util.Arrays.copyOf(p, 2 * n)
-        b = java.util.Arrays.copyOf(b, 2 * n)
-      }
-      p(n) = pos
-      b(n) = lb2
-      n += 1
-    }
-  }
-
-  /** Every worker's candidates in one position (file) order, cut into at
-    * most `parts` consecutive lists of `⌈total / parts⌉` (the last may be
-    * shorter; none when there are no candidates).
-    *
-    * Merges rather than sorts: each list must already ascend by position.
-    * [[Refiner.filter]]'s lists do when its ranges ascend and are disjoint,
-    * as a worker claims ranges in ascending index order. Every caller's
-    * ranges do: a Hercules query's candidate leaves sorted by `filePos`
-    * (leaves own disjoint LRDFile extents), and ParIS+'s fixed blocks.
-    */
-  def inOrder(lists: Array[Candidates], parts: Int = 1): IndexedSeq[Candidates] = {
-    val total = lists.iterator.map(_.size).sum
-    val chunk = math.max(1, (total + parts - 1) / parts)
-    val out = Vector.fill((total + chunk - 1) / chunk)(new Candidates(chunk))
-    val next = new Array[Int](lists.length)
-    var i = 0
-    while (i < total) {
-      // The list whose next candidate has the smallest position.
-      var best = -1
-      var l = 0
-      while (l < lists.length) {
-        if (next(l) < lists(l).size &&
-            (best < 0 || lists(l).pos(next(l)) < lists(best).pos(next(best)))) best = l
-        l += 1
-      }
-      out(i / chunk).add(lists(best).pos(next(best)), lists(best).lb2(next(best)))
-      next(best) += 1
-      i += 1
-    }
-    out
-  }
+  /** Every worker's candidates in one list, in position (file) order. */
+  def inOrder(lists: Array[Candidates]): Candidates =
+    ArrayBuffer.from(lists.iterator.flatten).sortInPlaceBy(_._1)
 
   /** The pruning test of every method: a series or node whose squared lower
     * bound is `lb2` may improve the answers whose kth distance is `bsf`. A

@@ -132,7 +132,8 @@ object Figures {
   }
 
   /** Fig. 12b: query-answering ablation — NoSAX / NoPara / NoThresh vs the
-    * full Hercules, on the hard (deep) proxy across difficulties.
+    * full Hercules, on the hard (deep) proxy across difficulties, each
+    * variant answering its queries one at a time.
     */
   def fig12b(spark: SparkSession, scale: Double = 1.0, nQ: Int = 10): Seq[BenchRow] = {
     val len = 96
@@ -150,10 +151,10 @@ object Figures {
       Seq("1%", "5%", "ood").flatMap { wl =>
         val queries = SeriesGen.queries("deep", wl, nQ, size, len, Seed)
         val variants: Seq[(String, repro.spark.Distributed.QueryBatchResult)] = Seq(
-          ("hercules", repro.spark.Distributed.knnBatch(builtP, queries, kp)),
-          ("noSAX", repro.spark.Distributed.knnBatch(builtP, queries, kp.copy(useSax = false))),
-          ("noPara", repro.spark.Distributed.knnBatch(built1, queries, Runner.knobs(1))),
-          ("noThresh", repro.spark.Distributed.knnBatch(builtP, queries, kp.copy(useThresholds = false))),
+          ("hercules", Runner.oneAtATime(builtP, queries, kp)),
+          ("noSAX", Runner.oneAtATime(builtP, queries, kp.copy(useSax = false))),
+          ("noPara", Runner.oneAtATime(built1, queries, Runner.knobs(1))),
+          ("noThresh", Runner.oneAtATime(builtP, queries, kp.copy(useThresholds = false))),
         )
         Runner.checkExactAgreement(variants.map { case (name, res) =>
           Runner.MethodRun(name, 0.0, res.avgQueryMs, res.perQueryMs,

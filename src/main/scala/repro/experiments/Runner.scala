@@ -72,13 +72,27 @@ object Runner {
     runs
   }
 
+  /** Answer `queries` with one one-query `knnBatch` call each, so every
+    * per-query time is measured with no other query of the workload beside
+    * it (a batch call runs queries at once on the cores its partitions
+    * leave idle); `wallMs` is the calls' sum. The figures report these
+    * one-at-a-time latencies, as the paper does.
+    */
+  def oneAtATime(built: Distributed.BuiltIndex, queries: Array[Array[Float]],
+                 qk: QueryKnobs): Distributed.QueryBatchResult = {
+    val each = queries.map(q => Distributed.knnBatch(built, Array(q), qk))
+    Distributed.QueryBatchResult(each.map(_.neighbors(0)), each.map(_.wallMs).sum, each.map(_.perQueryMs(0)),
+      each.map(_.perQueryStats(0)), built.totalSeries)
+  }
+
   /** Run several methods over the same dataset/queries and verify agreement. */
   def runAll(df: DataFrame, methods: Seq[String], cfg: IndexConfig,
              queries: Array[Array[Float]], qk: QueryKnobs): Seq[MethodRun] =
     runSweep(df, methods, cfg, Seq(("", queries, qk))).map(_._2)
 
   /** Build each method once, answer every workload of the sweep against the
-    * cached index, and verify cross-method agreement per workload label.
+    * cached index one query at a time, and verify cross-method agreement
+    * per workload label.
     */
   def runSweep(df: DataFrame, methods: Seq[String], cfg: IndexConfig,
                sweeps: Seq[(String, Array[Array[Float]], QueryKnobs)]): Seq[(String, MethodRun)] = {
@@ -92,7 +106,7 @@ object Runner {
           Distributed.knnBatch(built, queries, scaleKnobs(qk, parts))
         }
         sweeps.map { case (label, queries, qk) =>
-          val res = Distributed.knnBatch(built, queries, scaleKnobs(qk, parts))
+          val res = oneAtATime(built, queries, scaleKnobs(qk, parts))
           (label, MethodRun(m, built.maxPartitionBuildMs / 1000.0, res.avgQueryMs, res.perQueryMs,
             res.avgAccessFraction * 100.0, res.neighbors))
         }

@@ -83,6 +83,13 @@ object Distributed {
     * `partitions` leave idle out of Spark's `parallelism`, each query taking
     * `threads` of them, and at least 1. A job thus never runs more than
     * `parallelism` query threads, unless one query alone needs more.
+    *
+    * `parallelism` counts the cores of the whole cluster. In local mode
+    * those are the cores of the one JVM that runs every task. Under a
+    * cluster master all of a task's threads run on one executor, so
+    * [[knnBatch]] also caps a task at `queriesAtOnce(executor cores, 1,
+    * threads)`; tasks that Spark places on the same executor may still
+    * together run more query threads than it has cores.
     */
   def queriesAtOnce(parallelism: Int, partitions: Int, threads: Int): Int =
     math.max(1, parallelism / (partitions * threads))
@@ -112,8 +119,9 @@ object Distributed {
           val res = new Array[Array[Neighbor]](qs.length)
           val stats = Array.fill(qs.length)(new QueryStats)
           val times = new Array[Double](qs.length)
+          val onExecutor = queriesAtOnce(Runtime.getRuntime.availableProcessors, 1, knobs.threads)
           // Par.run joins its workers, so every slot is written on return.
-          Par.claim(math.min(atOnce, qs.length), qs.length) { (_, qi) =>
+          Par.claim(Seq(atOnce, onExecutor, qs.length).min, qs.length) { (_, qi) =>
             val q0 = System.nanoTime()
             res(qi) = idx.knn(qs(qi), knobs, stats(qi))
             times(qi) = (System.nanoTime() - q0) / 1e6

@@ -2,7 +2,7 @@ package repro.experiments
 
 import repro.SparkSpec
 import repro.core.SeriesGen
-import repro.spark.SeriesFrames
+import repro.spark.{Distributed, SeriesFrames}
 
 /** The experiment harness at micro scale: sweeps, agreement checking,
   * extrapolation, rendering.
@@ -31,6 +31,22 @@ class RunnerSpec extends SparkSpec {
     val out = Runner.runSweep(df, Seq("hercules", "pscan"), cfg, sweeps)
     assert(out.size == 4)
     assert(out.map(_._1).distinct.sorted == Seq("1%", "ood"))
+  }
+
+  test("oneAtATime returns a batch call's answers and counters, one query per call") {
+    val df = SeriesFrames.dataset(spark, "walk", 400, 24, 7)
+    val queries = SeriesGen.queries("walk", "ood", 6, 400, 24, 7)
+    val cfg = repro.core.IndexConfig(seriesLength = 24, leafCapacity = 16)
+    val built = Distributed.build(df, "hercules", cfg, 1)
+    try {
+      val qk = Runner.knobs(2, lmax = 3)
+      val one = Runner.oneAtATime(built, queries, qk)
+      val batch = Distributed.knnBatch(built, queries, qk)
+      assert(one.neighbors.map(_.toSeq).toSeq == batch.neighbors.map(_.toSeq).toSeq)
+      assert(one.perQueryStats.map(_.seriesAccessed.get).toSeq == batch.perQueryStats.map(_.seriesAccessed.get).toSeq)
+      assert(one.perQueryMs.length == 6 && one.perQueryMs.forall(_ >= 0.0))
+      assert(one.totalSeries == 400 && one.avgAccessFraction == batch.avgAccessFraction)
+    } finally built.unpersist()
   }
 
   test("extrapolation drops outliers and scales to 10K queries") {
