@@ -81,8 +81,9 @@ object Distributed {
 
   /** Queries a [[knnBatch]] task answers at once: the cores that the job's
     * `partitions` leave idle out of Spark's `parallelism`, each query taking
-    * `threads` of them, and at least 1. A job thus never runs more than
-    * `parallelism` query threads, unless one query alone needs more.
+    * `threads` of them, and at least 1. In local mode a job thus never
+    * runs more than `parallelism` query threads, unless one query alone
+    * needs more.
     *
     * `parallelism` counts the cores of the whole cluster. In local mode
     * those are the cores of the one JVM that runs every task. Under a
