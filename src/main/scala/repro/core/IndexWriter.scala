@@ -93,7 +93,8 @@ object IndexWriter {
             val st = a.segStart(k)
             val en = a.ends(k)
             val mine = leafSegs.get(st.toLong << 32 | en)
-            if (mine != null) a.mergeSegment(k, leaf, mine) // HSplitSynopsis
+            if (mine != null) // HSplitSynopsis
+              a.widen(k, leaf.muMin(mine), leaf.muMax(mine), leaf.sdMin(mine), leaf.sdMax(mine))
             else destroyed += ((a, k, st, en))
             k += 1
           }
@@ -116,10 +117,7 @@ object IndexWriter {
             if (sd > sMax) sMax = sd
           }
           entries.foreach { case (node, k, _, _) =>
-            node.synchronized {
-              node.updateSegment(k, mMin, sMin)
-              node.updateSegment(k, mMax, sMax)
-            }
+            node.synchronized(node.widen(k, mMin, mMax, sMin, sMax))
           }
         }
       }

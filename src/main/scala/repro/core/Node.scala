@@ -92,28 +92,19 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
     var i = 0
     while (i < segCount) {
       val (m, sd) = Stats.meanSd(s, segStart(i), ends(i))
-      if (m < muMin(i)) muMin(i) = m
-      if (m > muMax(i)) muMax(i) = m
-      if (sd < sdMin(i)) sdMin(i) = sd
-      if (sd > sdMax(i)) sdMax(i) = sd
+      widen(i, m, m, sd, sd)
       i += 1
     }
   }
 
-  /** Fold an explicit (mean, sd) pair for segment `i` into the synopsis. */
-  def updateSegment(i: Int, m: Double, sd: Double): Unit = {
-    if (m < muMin(i)) muMin(i) = m
-    if (m > muMax(i)) muMax(i) = m
-    if (sd < sdMin(i)) sdMin(i) = sd
-    if (sd > sdMax(i)) sdMax(i) = sd
-  }
-
-  /** Fold another node's synopsis for `their` segment into ours at `mine`. */
-  def mergeSegment(mine: Int, other: Node, their: Int): Unit = {
-    if (other.muMin(their) < muMin(mine)) muMin(mine) = other.muMin(their)
-    if (other.muMax(their) > muMax(mine)) muMax(mine) = other.muMax(their)
-    if (other.sdMin(their) < sdMin(mine)) sdMin(mine) = other.sdMin(their)
-    if (other.sdMax(their) > sdMax(mine)) sdMax(mine) = other.sdMax(their)
+  /** Widen segment `i`'s synopsis to cover means in `[muLo, muHi]` and sds
+    * in `[sdLo, sdHi]`: the one min/max fold of every synopsis update.
+    */
+  def widen(i: Int, muLo: Double, muHi: Double, sdLo: Double, sdHi: Double): Unit = {
+    if (muLo < muMin(i)) muMin(i) = muLo
+    if (muHi > muMax(i)) muMax(i) = muHi
+    if (sdLo < sdMin(i)) sdMin(i) = sdLo
+    if (sdHi > sdMax(i)) sdMax(i) = sdHi
   }
 
   /** Leaves of this subtree, left-to-right (inorder leaf order → LRDFile order). */

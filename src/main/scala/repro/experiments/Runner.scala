@@ -49,8 +49,9 @@ object Runner {
     avg * 10000 / 1000.0
   }
 
-  /** Assert every method returned the same exact `(id, dist2)` lists (they
-    * are all exact algorithms under the `KnnSet` tie-break); returns the
+  /** Assert every method returned the same exact `(id, dist2)` lists, with
+    * bit-equal `dist2` (they are all exact algorithms under the `KnnSet`
+    * tie-break and share `Dist.ed2Flat`'s summation order); returns the
     * compared run list unchanged.
     */
   def checkExactAgreement(runs: Seq[MethodRun]): Seq[MethodRun] = {
@@ -64,7 +65,7 @@ object Runner {
         require(a.length == b.length,
           s"${r.method} returned ${b.length} answers vs ${ref.method} ${a.length} for query $qi")
         a.zip(b).foreach { case (x, y) =>
-          require(x.id == y.id && math.abs(x.dist2 - y.dist2) <= 1e-6 * math.max(1.0, math.max(x.dist2, y.dist2)),
+          require(x.id == y.id && x.dist2 == y.dist2,
             s"${r.method} disagrees with ${ref.method} on query $qi: $y vs $x")
         }
       }

@@ -4,18 +4,19 @@ import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, File
 import java.nio.file.{Files, Paths}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.core.{IndexConfig, KnnSet, Neighbor, Par, QueryKnobs, QueryStats}
 
 /** Distributed build + query answering: one [[LocalIndex]] per partition via
-  * `mapPartitions`, broadcast query batches, and an exact driver-side top-k
-  * merge (k-NN under a partition of the dataset is the k smallest of the
-  * per-partition k smallest). The index RDD is the only RDD-API surface —
-  * index objects are not relational rows; everything else is DataFrames.
+  * `mapPartitions`, query batches carried in the task closure, and an exact
+  * driver-side top-k merge (k-NN under a partition of the dataset is the k
+  * smallest of the per-partition k smallest). A build and a query batch are
+  * one Spark job each. The index RDD is locally checkpointed, so it has no
+  * lineage: a lost partition fails the query instead of being rebuilt.
   */
 object Distributed {
 
   /** A built per-partition index collection plus build-time measurements;
+    * `buildWallMs` times the one job that built (or loaded) the partitions;
     * `seriesLength` is the length of every indexed series, and of a query.
     */
   final case class BuiltIndex(
@@ -26,14 +27,14 @@ object Distributed {
       maxPartitionBuildMs: Double,
       seriesLength: Int,
   ) {
-    /** Release cached partitions. */
+    /** Release the cached partitions; the index cannot answer after this. */
     def unpersist(): Unit = rdd.unpersist(blocking = false)
   }
 
   /** Results of a query batch: merged exact answers, wall/per-query times,
     * and per-query merged access counters.
     *
-    * @param wallMs      wall time of the whole batch's job, broadcast to collect
+    * @param wallMs      wall time of the batch's one job, submit to collect
     * @param perQueryMs  per query, the longest of its partitions' in-task
     *                    times; each is that query's own wall time, which
     *                    other queries of the batch may overlap
@@ -56,27 +57,36 @@ object Distributed {
       else perQueryStats.map(_.accessFraction(totalSeries)).sum / perQueryStats.length
   }
 
-  /** Repartition `df` (`id`, `series`) and build one `method` index per
-    * partition inside `mapPartitions`; the RDD is cached and forced.
+  /** Deal the rows of `df` (`id`, `series`) to `partitions` partitions and
+    * build one `method` index per partition inside `mapPartitions`, all in
+    * one job. The rows move by `RDD.repartition`: a SQL exchange would run
+    * its shuffle as a job of its own under adaptive query execution.
     */
   def build(df: DataFrame, method: String, cfg: IndexConfig, partitions: Int): BuiltIndex = {
     val spark = df.sparkSession
     import spark.implicits._
-    val ds = df.as[(Long, Array[Float])]
-    val t0 = System.nanoTime()
-    val rdd = ds
-      .repartition(partitions)
+    val rdd = df.as[(Long, Array[Float])]
       .rdd
+      .repartition(partitions)
       .mapPartitions { it =>
         val arr = it.toArray
         Iterator.single(LocalIndex.build(method, arr.map(_._1), arr.map(_._2), cfg))
       }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    rdd.count()
+    materialize(rdd, partitions, s"partitions of $method")
+  }
+
+  /** Locally checkpoint `rdd` and run the one job that computes and caches
+    * it, collecting each partition's size, build time and series length,
+    * which the partitions must agree on.
+    */
+  private def materialize(rdd: RDD[LocalIndex], partitions: Int, what: String): BuiltIndex = {
+    rdd.localCheckpoint()
+    val t0 = System.nanoTime()
+    val stats = rdd.map(i => (i.nSeries, i.buildMs, i.seriesLength)).collect()
     val wallMs = (System.nanoTime() - t0) / 1e6
-    val stats = rdd.map(i => (i.nSeries, i.buildMs)).collect()
-    BuiltIndex(rdd, wallMs, partitions, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max,
-      cfg.seriesLength)
+    val lengths = stats.map(_._3).distinct
+    require(lengths.length == 1, s"$what index series of lengths ${lengths.mkString(", ")}")
+    BuiltIndex(rdd, wallMs, partitions, stats.map(_._1).sum, stats.map(_._2).max, lengths.head)
   }
 
   /** Queries a [[knnBatch]] task answers at once: the cores that the job's
@@ -95,42 +105,32 @@ object Distributed {
   def queriesAtOnce(parallelism: Int, partitions: Int, threads: Int): Int =
     math.max(1, parallelism / (partitions * threads))
 
-  /** Answer a broadcast batch of queries exactly; merge per-partition top-k.
-    * Each partition's task answers [[queriesAtOnce]] queries concurrently,
-    * one `QueryStats` and result set per query, so answers and counters do
-    * not depend on how many run at once. Rejects, before any task is sent,
+  /** Answer a batch of queries exactly in one job, the batch travelling in
+    * the task closure; merge per-partition top-k. Each partition's task
+    * answers [[queriesAtOnce]] queries concurrently, one `QueryStats` and
+    * result set per query, so answers and counters do not depend on how
+    * many run at once. Rejects, before any task is sent,
     * a query of another length or with a NaN or infinite point, naming its
     * index in `queries`.
     */
   def knnBatch(built: BuiltIndex, queries: Array[Array[Float]], knobs: QueryKnobs): QueryBatchResult = {
-    queries.iterator.zipWithIndex.foreach { case (q, qi) =>
-      require(q.length == built.seriesLength,
-        s"query $qi has length ${q.length}, expected ${built.seriesLength}")
-      val bad = LocalIndex.firstNonFinite(q)
-      require(bad < 0, s"query $qi has the non-finite value ${q(bad)} at index $bad")
-    }
-    val sc = built.rdd.sparkContext
-    val atOnce = queriesAtOnce(sc.defaultParallelism, built.partitions, knobs.threads)
-    val bq = sc.broadcast(queries)
-    val (partResults, wallMs) =
-      try {
-        val t0 = System.nanoTime()
-        val parts = built.rdd.map { idx =>
-          val qs = bq.value
-          val res = new Array[Array[Neighbor]](qs.length)
-          val stats = Array.fill(qs.length)(new QueryStats)
-          val times = new Array[Double](qs.length)
-          val onExecutor = queriesAtOnce(Runtime.getRuntime.availableProcessors, 1, knobs.threads)
-          // Par.run joins its workers, so every slot is written on return.
-          Par.claim(Seq(atOnce, onExecutor, qs.length).min, qs.length) { (_, qi) =>
-            val q0 = System.nanoTime()
-            res(qi) = idx.knn(qs(qi), knobs, stats(qi))
-            times(qi) = (System.nanoTime() - q0) / 1e6
-          }
-          (res, stats, times)
-        }.collect()
-        (parts, (System.nanoTime() - t0) / 1e6)
-      } finally bq.destroy()
+    queries.indices.foreach(qi => LocalIndex.checkQuery(queries(qi), built.seriesLength, s"query $qi"))
+    val atOnce = queriesAtOnce(built.rdd.sparkContext.defaultParallelism, built.partitions, knobs.threads)
+    val t0 = System.nanoTime()
+    val partResults = built.rdd.map { idx =>
+      val res = new Array[Array[Neighbor]](queries.length)
+      val stats = Array.fill(queries.length)(new QueryStats)
+      val times = new Array[Double](queries.length)
+      val onExecutor = queriesAtOnce(Runtime.getRuntime.availableProcessors, 1, knobs.threads)
+      // Par.run joins its workers, so every slot is written on return.
+      Par.claim(Seq(atOnce, onExecutor, queries.length).min, queries.length) { (_, qi) =>
+        val q0 = System.nanoTime()
+        res(qi) = idx.knn(queries(qi), knobs, stats(qi))
+        times(qi) = (System.nanoTime() - q0) / 1e6
+      }
+      (res, stats, times)
+    }.collect()
+    val wallMs = (System.nanoTime() - t0) / 1e6
     val merged = Array.tabulate(queries.length) { qi =>
       val set = new KnnSet(knobs.k)
       partResults.foreach { case (res, _, _) => set.addAll(res(qi)) }
@@ -182,10 +182,6 @@ object Distributed {
         try in.readObject().asInstanceOf[LocalIndex]
         finally in.close()
       }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val stats = rdd.map(i => (i.nSeries, i.buildMs, i.seriesLength)).collect()
-    val lengths = stats.map(_._3).distinct
-    require(lengths.length == 1, s"partitions under $dir index series of lengths ${lengths.mkString(", ")}")
-    BuiltIndex(rdd, 0.0, files.length, stats.map(_._1).sum, stats.map(_._2).max, lengths.head)
+    materialize(rdd, files.length, s"partitions under $dir")
   }
 }

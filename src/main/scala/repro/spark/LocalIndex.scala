@@ -21,9 +21,7 @@ final case class LocalIndex(method: String, index: KnnIndex, buildMs: Double, se
     * Rejects a query of another length or with a NaN or infinite point.
     */
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    require(q.length == seriesLength, s"query has length ${q.length}, expected $seriesLength")
-    val bad = LocalIndex.firstNonFinite(q)
-    require(bad < 0, s"query has the non-finite value ${q(bad)} at index $bad")
+    LocalIndex.checkQuery(q, seriesLength, "query")
     index.knn(q, knobs, stats)
   }
 }
@@ -47,6 +45,15 @@ object LocalIndex {
     var i = 0
     while (i < s.length && java.lang.Float.isFinite(s(i))) i += 1
     if (i < s.length) i else -1
+  }
+
+  /** Reject a query `q` of another length than `len` or with a NaN or
+    * infinite point; messages start with `name`.
+    */
+  private[spark] def checkQuery(q: Array[Float], len: Int, name: String): Unit = {
+    require(q.length == len, s"$name has length ${q.length}, expected $len")
+    val bad = firstNonFinite(q)
+    require(bad < 0, s"$name has the non-finite value ${q(bad)} at index $bad")
   }
 
   /** Build one partition's structure for `method` over materialized series.

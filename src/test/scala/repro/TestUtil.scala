@@ -17,14 +17,16 @@ object TestUtil {
   def dataset(n: Int, len: Int, seed: Long, kind: String = "walk"): (Array[Long], Array[Array[Float]]) =
     (Array.tabulate(n)(_.toLong), SeriesGen.dataset(kind, n, len, seed))
 
-  /** Assert `actual` equals the brute-force exact k-NN for `q`. */
+  /** Assert `actual` equals the brute-force exact k-NN for `q` by id and
+    * bit-equal `dist2`: every method shares `Dist.ed2Flat`'s summation order.
+    */
   def assertExact(ids: Array[Long], data: Array[Array[Float]], q: Array[Float], k: Int,
                   actual: Array[Neighbor], context: String = ""): Unit = {
     val expect = BruteForce.knn(ids, data, q, k)
     assert(expect.length == actual.length,
       s"$context: got ${actual.length} answers, expected ${expect.length}")
     expect.zip(actual).zipWithIndex.foreach { case ((e, a), i) =>
-      assert(e.id == a.id && math.abs(e.dist2 - a.dist2) <= 1e-9 * math.max(1.0, e.dist2),
+      assert(e.id == a.id && e.dist2 == a.dist2,
         s"$context: rank $i differs: expected (${e.id}, ${e.dist2}), got (${a.id}, ${a.dist2})")
     }
   }

@@ -121,4 +121,42 @@ class ISaxSpec extends AnyFunSuite {
         }
       }
     }
+
+  /** Raw series of one adversarial family, none z-normalized: flat lines,
+    * flat lines with 1e-3 noise, random walks and walks scaled by 1e-4, at
+    * `offset`, each followed by a duplicate of itself.
+    */
+  private def adversarial(kind: String, offset: Double, n: Int, len: Int, rng: Random): Seq[Array[Float]] =
+    Seq.fill(n) {
+      val level = rng.nextGaussian()
+      var walk = 0.0
+      val s = Array.tabulate(len) { _ =>
+        walk += rng.nextGaussian()
+        kind match {
+          case "flat"       => offset + level
+          case "noisy-flat" => offset + level + 1e-3 * rng.nextGaussian()
+          case "walk"       => offset + walk
+          case "tiny-walk"  => offset + 1e-4 * walk
+        }
+      }.map(_.toFloat)
+      Seq(s, s.clone())
+    }.flatten
+
+  for (kind <- Seq("flat", "noisy-flat", "walk", "tiny-walk"); offset <- Seq(0.0, 1e4, 1e6))
+    test(s"the query table's LB_SAX never exceeds the computed distance ($kind at offset $offset)") {
+      val rng = new Random(kind.hashCode * 31L + offset.toLong)
+      for (len <- Seq(64, 100)) {
+        val s = new ISax(len, 16, 256)
+        val data = adversarial(kind, offset, 60, len, rng)
+        val queries = data.take(10) ++ adversarial(kind, offset, 10, len, rng)
+        queries.foreach { q =>
+          val table = s.queryTable(s.paa(q))
+          data.foreach { x =>
+            val lb = table.lb2(s.word(x), 0)
+            val d = Dist.ed2Flat(q, x, 0, Double.PositiveInfinity)
+            assert(lb <= d, s"len $len: lb $lb > ed2 $d")
+          }
+        }
+      }
+    }
 }

@@ -85,4 +85,12 @@ class RunnerSpec extends SparkSpec {
     val sameDist = Runner.MethodRun("c", 0, 0, Array(0.0), 0, Array(Array(Neighbor(2, 1.0))))
     intercept[IllegalArgumentException](Runner.checkExactAgreement(Seq(a, sameDist)))
   }
+
+  test("checkExactAgreement raises on a dist2 one ulp apart") {
+    import repro.core.Neighbor
+    val a = Runner.MethodRun("a", 0, 0, Array(0.0), 0, Array(Array(Neighbor(1, 1234.5))))
+    val b = Runner.MethodRun("b", 0, 0, Array(0.0), 0, Array(Array(Neighbor(1, math.nextUp(1234.5)))))
+    Runner.checkExactAgreement(Seq(a, a.copy(method = "c")))
+    intercept[IllegalArgumentException](Runner.checkExactAgreement(Seq(a, b)))
+  }
 }

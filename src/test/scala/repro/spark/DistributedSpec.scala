@@ -1,15 +1,20 @@
 package repro.spark
 
 import java.nio.file.Files
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.BruteForce
 import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, QueryStats, SeriesGen}
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
-  * counts must not change answers, and save/load must round-trip for every
-  * method.
+  * counts must not change answers, save/load must round-trip for every
+  * method, and a build and a query batch must each be one Spark job.
   */
 class DistributedSpec extends SparkSpec {
 
@@ -109,6 +114,53 @@ class DistributedSpec extends SparkSpec {
         assert(e.getMessage.contains("query 2") && e.getMessage.contains(what), e.getMessage)
       }
     } finally built.unpersist()
+  }
+
+  /** `body`'s result and the Spark jobs it started from this thread. The
+    * jobs run under a job group of their own; a marker job started after
+    * `body` under another group shows that the listener bus has delivered
+    * every earlier job start.
+    */
+  private def jobsStarted[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val group = s"counted-${System.nanoTime()}"
+    val marker = s"$group-marker"
+    val counted = new AtomicInteger
+    val markerSeen = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).foreach { g =>
+          if (g == group) counted.incrementAndGet()
+          if (g == marker) markerSeen.incrementAndGet()
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      val out = body
+      sc.setJobGroup(marker, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      eventually(timeout(30.seconds), interval(10.millis))(assert(markerSeen.get == 1))
+      (out, counted.get)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  test("a build and a query batch are one Spark job each, and the index RDD keeps no lineage") {
+    for (method <- LocalIndex.builders.keys) {
+      val (built, buildJobs) = jobsStarted(Distributed.build(df, method, cfg, 2))
+      try {
+        assert(buildJobs == 1, method)
+        assert(built.rdd.isCheckpointed && built.rdd.getCheckpointFile.isEmpty, s"$method: not locally checkpointed")
+        assert(built.rdd.getStorageLevel == StorageLevel.MEMORY_AND_DISK, method)
+        assert(!built.rdd.toDebugString.contains("Shuffle"), built.rdd.toDebugString)
+        val (res, callJobs) = jobsStarted(Distributed.knnBatch(built, queries, knobs))
+        assert(callJobs == 1, method)
+        assert(res.neighbors.length == queries.length)
+      } finally built.unpersist()
+    }
   }
 
   test("knnBatch reports timing and access stats") {
