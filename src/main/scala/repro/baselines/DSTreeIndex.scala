@@ -24,11 +24,12 @@ final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
     }
 
     // Approximate answer: descend the split policies to the home leaf.
-    val home = idx.root.leafFor(q)
+    val qc = new SeriesCtx(q)
+    val home = idx.root.leafFor(qc)
     scanLeaf(home)
 
     // Exact traversal.
-    val pq = new EapcaQueue(new SeriesCtx(q), refiner.results)
+    val pq = new EapcaQueue(qc, refiner.results)
     pq.push(idx.root)
     pq.run { (leaf, _) => if (leaf ne home) scanLeaf(leaf); true }
     refiner.results.toArray

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
-import scala.collection.immutable.ArraySeq
+import scala.collection.mutable.ArrayBuffer
 
 /** Split-policy selection (§3.2): evaluates every H-split and V-split
   * candidate on the actual leaf contents and keeps the one maximizing the
@@ -58,13 +58,17 @@ object SplitPolicy {
       q + len * (dm * dm + ds * ds)
     }
 
-  /** Pick the best split for a full leaf, or None when the leaf's series are
-    * indistinguishable under every candidate statistic (the leaf is then
-    * allowed to exceed capacity instead of splitting forever).
+  /** Pick the best split for a full leaf holding `series`. */
+  def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] =
+    choose(node, series.iterator.map(new SeriesCtx(_)).toArray)
+
+  /** Pick the best split for a full leaf whose members' statistics are
+    * `ctxs`, or None when they are indistinguishable under every candidate
+    * statistic (the leaf is then allowed to exceed capacity instead of
+    * splitting forever).
     */
-  def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] = {
-    val ctxs = series.iterator.map(new SeriesCtx(_)).toArray
-    val rho = series.length
+  def choose(node: Node, ctxs: Array[SeriesCtx]): Option[SplitInfo] = {
+    val rho = ctxs.length
     // Members of the left child, then of the right, each in input order.
     val order = new Array[Int](rho)
 
@@ -179,7 +183,7 @@ object SplitPolicy {
   * (Algorithm 5) for Hercules, or root-to-leaf path locking that keeps every
   * path synopsis for DSTree*P (and DSTree* on one thread).
   */
-final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) extends Serializable {
+final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) {
   private val nextId = new AtomicInteger(0)
   private val attempts = new AtomicInteger(0)
   private val failed = new AtomicInteger(0)
@@ -189,22 +193,24 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) extends Seri
 
   private def newNode(ends: Array[Int]): Node = new Node(ends, nextId.getAndIncrement())
 
-  /** Insert series `s` into `worker`'s HBuffer region, as the mode says. */
+  /** Insert series `s` into `worker`'s HBuffer region, as the mode says.
+    * Its one [[SeriesCtx]] serves every routing step and synopsis update.
+    */
   def insert(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = mode match {
-    case BuildMode.Hercules   => insertLeafLocked(id, s, worker, store)
-    case BuildMode.PathLocked => insertPathLocked(root, id, s, worker, store)
+    case BuildMode.Hercules   => insertLeafLocked(id, new SeriesCtx(s), worker, store)
+    case BuildMode.PathLocked => insertPathLocked(root, id, new SeriesCtx(s), worker, store)
   }
 
   /** Algorithm 5: route, lock the leaf, re-check leafness, append, and split
     * when full. Only the leaf is locked; internal synopses are deferred to
     * index writing.
     */
-  private def insertLeafLocked(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
+  private def insertLeafLocked(id: Long, sc: SeriesCtx, worker: Int, store: SeriesStore): Unit = {
     while (true) {
-      val leaf = root.leafFor(s)
+      val leaf = root.leafFor(sc)
       leaf.synchronized {
         if (leaf.isLeaf) {
-          appendToLeaf(leaf, id, s, worker, store)
+          appendToLeaf(leaf, id, sc, worker, store)
           return
         }
       }
@@ -218,13 +224,13 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) extends Seri
     * defers to index writing (Fig. 12a). A node whose monitor is held cannot
     * split, so the insert never re-routes.
     */
-  private def insertPathLocked(n: Node, id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit =
+  private def insertPathLocked(n: Node, id: Long, sc: SeriesCtx, worker: Int, store: SeriesStore): Unit =
     n.synchronized {
-      if (n.isLeaf) appendToLeaf(n, id, s, worker, store)
+      if (n.isLeaf) appendToLeaf(n, id, sc, worker, store)
       else {
-        n.updateSynopsis(s)
+        n.updateSynopsis(sc)
         n.count += 1
-        insertPathLocked(if (n.split.goesLeft(s)) n.left else n.right, id, s, worker, store)
+        insertPathLocked(if (n.split.goesLeft(sc)) n.left else n.right, id, sc, worker, store)
       }
     }
 
@@ -233,55 +239,49 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) extends Seri
     * series equal its first member: a copy of a member changes no candidate's
     * min/max, so [[SplitPolicy.choose]] would return None again.
     */
-  private def appendToLeaf(leaf: Node, id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = {
-    leaf.updateSynopsis(s)
-    val slot = store.alloc(worker, id, s)
-    leaf.slots += slot
+  private def appendToLeaf(leaf: Node, id: Long, sc: SeriesCtx, worker: Int, store: SeriesStore): Unit = {
+    leaf.updateSynopsis(sc)
+    leaf.slots += store.alloc(worker, id, sc.series)
     leaf.count += 1
     if (leaf.count >= cfg.leafCapacity &&
-        (leaf.unsplittableAs == null || !java.util.Arrays.equals(leaf.unsplittableAs, s)))
+        (leaf.unsplittableAs == null || !java.util.Arrays.equals(leaf.unsplittableAs, sc.series)))
       splitLeaf(leaf, store)
   }
 
   /** Split a full leaf (Algorithm 5 lines 9–14): gather its series from
     * memory and spill, choose the best policy from the actual data, create
-    * two children, and redistribute SBuffer slots / spill records.
+    * two children, and redistribute SBuffer slots / spill records. One
+    * [[SeriesCtx]] per member serves the choice, its routing and the
+    * children's synopses.
     */
   private def splitLeaf(leaf: Node, store: SeriesStore): Unit = {
     attempts.incrementAndGet()
     val spilled = store.readSpill(leaf)
     val memSlots = leaf.slots
-    val allSeries = new Array[Array[Float]](spilled.length + memSlots.length)
-    var i = 0
-    while (i < spilled.length) { allSeries(i) = spilled(i)._2; i += 1 }
-    while (i < allSeries.length) { allSeries(i) = store.seriesAt(memSlots(i - spilled.length)); i += 1 }
-    SplitPolicy.choose(leaf, ArraySeq.unsafeWrapArray(allSeries)) match {
+    val ctxs = (spilled.iterator.map(_._2) ++ memSlots.iterator.map(store.seriesAt))
+      .map(new SeriesCtx(_)).toArray
+    SplitPolicy.choose(leaf, ctxs) match {
       case None => // indistinguishable contents: tolerate an oversized leaf
         failed.incrementAndGet()
-        leaf.unsplittableAs = allSeries(0)
+        leaf.unsplittableAs = ctxs(0).series
       case Some(policy) =>
         val l = newNode(policy.childEnds)
         val r = newNode(policy.childEnds)
         l.parent = leaf
         r.parent = leaf
-        def add(child: Node, sv: Array[Float]): Unit = { child.updateSynopsis(sv); child.count += 1 }
-        // Spilled records move to the children's spill files.
-        if (spilled.nonEmpty) {
-          val (toL, toR) = spilled.partition { case (_, sv) => policy.goesLeft(sv) }
-          store.spill(l, toL)
-          store.spill(r, toR)
-          toL.foreach { case (_, sv) => add(l, sv) }
-          toR.foreach { case (_, sv) => add(r, sv) }
+        // Spilled records move to the children's spill files; in-memory
+        // slots keep their HBuffer place, and only SBuffer pointers move.
+        val toL, toR = new ArrayBuffer[(Long, Array[Float])]
+        for (i <- ctxs.indices) {
+          val goesLeft = policy.goesLeft(ctxs(i))
+          val child = if (goesLeft) l else r
+          if (i < spilled.length) (if (goesLeft) toL else toR) += spilled(i)
+          else child.slots += memSlots(i - spilled.length)
+          child.updateSynopsis(ctxs(i))
+          child.count += 1
         }
-        // In-memory slots keep their HBuffer place; only SBuffer pointers move.
-        i = spilled.length
-        while (i < allSeries.length) {
-          val sv = allSeries(i)
-          val child = if (policy.goesLeft(sv)) l else r
-          child.slots += memSlots(i - spilled.length)
-          add(child, sv)
-          i += 1
-        }
+        store.spill(l, toL)
+        store.spill(r, toR)
         store.dropSpill(leaf)
         leaf.slots = null
         leaf.unsplittableAs = null

@@ -102,15 +102,17 @@ object IndexWriter {
         a = a.parent
       }
       if (destroyed.nonEmpty) {
-        // VSplitSynopsis: one pass over the leaf's raw series per distinct
+        // VSplitSynopsis: the members' SeriesCtx read once per distinct
         // destroyed range, folded locally, then one locked update per node.
+        val ctxs = vals.map { case (_, s) => new SeriesCtx(s) }
         destroyed.groupBy(d => (d._3, d._4)).foreach { case ((st, en), entries) =>
           var mMin = Double.PositiveInfinity
           var mMax = Double.NegativeInfinity
           var sMin = Double.PositiveInfinity
           var sMax = Double.NegativeInfinity
-          vals.foreach { case (_, s) =>
-            val (m, sd) = Stats.meanSd(s, st, en)
+          ctxs.foreach { sc =>
+            val m = sc.mean(st, en)
+            val sd = sc.sd(st, en)
             if (m < mMin) mMin = m
             if (m > mMax) mMax = m
             if (sd < sMin) sMin = sd

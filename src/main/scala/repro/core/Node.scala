@@ -21,18 +21,17 @@ final case class SplitInfo(
     routeSeg: Int,
     useSd: Boolean,
     value: Double,
-) extends Serializable {
+) {
 
-  /** Routing statistic of `s` for this split. */
-  def statOf(s: Array[Float]): Double = {
+  /** Routing statistic of the series behind `sc` for this split. */
+  def statOf(sc: SeriesCtx): Double = {
     val from = if (routeSeg == 0) 0 else childEnds(routeSeg - 1)
     val until = childEnds(routeSeg)
-    val (m, sd) = Stats.meanSd(s, from, until)
-    if (useSd) sd else m
+    if (useSd) sc.sd(from, until) else sc.mean(from, until)
   }
 
-  /** True iff `s` belongs to the left child. */
-  def goesLeft(s: Array[Float]): Boolean = statOf(s) < value
+  /** True iff the series behind `sc` belongs to the left child. */
+  def goesLeft(sc: SeriesCtx): Boolean = statOf(sc) < value
 }
 
 /** A Hercules/DSTree tree node (§3.2, Fig. 2).
@@ -75,12 +74,13 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   /** LRDFile positions of a written leaf's series. */
   def positions: Range = filePos until filePos + leafSize
 
-  /** The leaf of this subtree that the split policies route `s` to (no
-    * locks; relies on `isLeaf` volatile publication of splits).
+  /** The leaf of this subtree that the split policies route the series
+    * behind `sc` to (no locks; relies on `isLeaf` volatile publication of
+    * splits).
     */
-  def leafFor(s: Array[Float]): Node = {
+  def leafFor(sc: SeriesCtx): Node = {
     var n = this
-    while (!n.isLeaf) n = if (n.split.goesLeft(s)) n.left else n.right
+    while (!n.isLeaf) n = if (n.split.goesLeft(sc)) n.left else n.right
     n
   }
 
@@ -88,10 +88,11 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   def segStart(i: Int): Int = if (i == 0) 0 else ends(i - 1)
 
   /** Fold one member series' per-segment stats into this node's synopsis. */
-  def updateSynopsis(s: Array[Float]): Unit = {
+  def updateSynopsis(sc: SeriesCtx): Unit = {
     var i = 0
     while (i < segCount) {
-      val (m, sd) = Stats.meanSd(s, segStart(i), ends(i))
+      val m = sc.mean(segStart(i), ends(i))
+      val sd = sc.sd(segStart(i), ends(i))
       widen(i, m, m, sd, sd)
       i += 1
     }

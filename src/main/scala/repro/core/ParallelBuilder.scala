@@ -7,7 +7,7 @@ import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
   * (Fig. 12a) makes besides the thread count. The tree's mode alone decides
   * how [[HerculesTree.insert]] locks and what [[IndexWriter.write]] computes.
   */
-sealed trait BuildMode extends Serializable
+sealed trait BuildMode
 object BuildMode {
   /** Hercules: inserts lock the leaf only; index writing rebuilds the
     * internal synopses and writes the iSAX words (LSDFile).

@@ -1,47 +1,42 @@
 package repro.core
 
-/** Running statistics over data series segments. */
+/** Z-normalization of generated series. */
 object Stats {
-
-  /** Mean and population standard deviation of `s[from, until)` in one pass. */
-  def meanSd(s: Array[Float], from: Int, until: Int): (Double, Double) = {
-    val len = until - from
-    var i = from
-    var sum = 0.0
-    var sum2 = 0.0
-    while (i < until) { val v = s(i).toDouble; sum += v; sum2 += v * v; i += 1 }
-    val mean = sum / len
-    val vari = math.max(0.0, sum2 / len - mean * mean)
-    (mean, math.sqrt(vari))
-  }
 
   /** Z-normalize: subtract mean, divide by population sd (zeros if constant). */
   def znorm(s: Array[Float]): Array[Float] = {
-    val (mean, sd) = meanSd(s, 0, s.length)
+    var i = 0
+    var sum = 0.0
+    var sum2 = 0.0
+    while (i < s.length) { val v = s(i).toDouble; sum += v; sum2 += v * v; i += 1 }
+    val mean = sum / s.length
+    val sd = math.sqrt(math.max(0.0, sum2 / s.length - mean * mean))
     val out = new Array[Float](s.length)
     if (sd < 1e-9) out
     else {
-      var i = 0
+      i = 0
       while (i < s.length) { out(i) = ((s(i) - mean) / sd).toFloat; i += 1 }
       out
     }
   }
 }
 
-/** Prefix sums of a series; O(1) mean/sd over any segment.
-  *
-  * Used for the query (one context per query, reused against every node's
-  * segmentation) and for split-policy evaluation (one context per leaf
-  * series, reused against every candidate segmentation).
+/** The index's one segment statistic: O(1) mean and sd of `series` over any
+  * segment, from prefix sums of the series shifted by its first point.
+  * Routing, split choice, synopses and `LB_EAPCA` all read it, so a split is
+  * chosen on the numbers its members are routed and summarized on. The shift
+  * keeps `sum2/len − m²` from cancelling at large offsets; a flat line comes
+  * out exactly (mean = its value, sd = 0).
   */
-final class SeriesCtx(s: Array[Float]) {
-  private val n = s.length
+final class SeriesCtx(val series: Array[Float]) {
+  private val n = series.length
+  private val base = series(0).toDouble
   private val pre = new Array[Double](n + 1)
   private val pre2 = new Array[Double](n + 1)
   locally {
     var i = 0
     while (i < n) {
-      val v = s(i).toDouble
+      val v = series(i).toDouble - base
       pre(i + 1) = pre(i) + v
       pre2(i + 1) = pre2(i) + v * v
       i += 1
@@ -49,7 +44,7 @@ final class SeriesCtx(s: Array[Float]) {
   }
 
   /** Mean of the segment `[from, until)`. */
-  def mean(from: Int, until: Int): Double = (pre(until) - pre(from)) / (until - from)
+  def mean(from: Int, until: Int): Double = base + (pre(until) - pre(from)) / (until - from)
 
   /** Population standard deviation of the segment `[from, until)`. */
   def sd(from: Int, until: Int): Double = {

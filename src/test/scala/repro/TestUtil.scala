@@ -1,5 +1,6 @@
 package repro
 
+import java.util.Random
 import repro.core._
 import repro.baselines.BruteForce
 
@@ -16,6 +17,36 @@ object TestUtil {
   /** Deterministic walk dataset with ids 0..n-1. */
   def dataset(n: Int, len: Int, seed: Long, kind: String = "walk"): (Array[Long], Array[Array[Float]]) =
     (Array.tabulate(n)(_.toLong), SeriesGen.dataset(kind, n, len, seed))
+
+  /** Raw series that are not z-normalized, at `offset`: "noisy-flat" is flat
+    * lines at a N(0, 1) level plus N(0, 1e-2) noise, and "mixed" alternates
+    * those with random walks.
+    */
+  def offsetSet(kind: String, n: Int, len: Int, offset: Double, seed: Long): Array[Array[Float]] = {
+    val rng = new Random(seed)
+    Array.tabulate(n) { i =>
+      val flat = kind == "noisy-flat" || i % 2 == 0
+      val level = rng.nextGaussian()
+      var walk = 0.0
+      Array.tabulate(len) { _ =>
+        walk += rng.nextGaussian()
+        (offset + (if (flat) level + 1e-2 * rng.nextGaussian() else walk)).toFloat
+      }
+    }
+  }
+
+  /** Two-pass mean and population sd of `s[from, until)`: the reference the
+    * index's [[SeriesCtx]] is checked against.
+    */
+  def meanSd(s: Array[Float], from: Int, until: Int): (Double, Double) = {
+    val len = until - from
+    var sum = 0.0
+    for (i <- from until until) sum += s(i)
+    val mean = sum / len
+    var ss = 0.0
+    for (i <- from until until) { val d = s(i) - mean; ss += d * d }
+    (mean, math.sqrt(ss / len))
+  }
 
   /** Assert `actual` equals the brute-force exact k-NN for `q` by id and
     * bit-equal `dist2`: every method shares `Dist.ed2Flat`'s summation order.

@@ -7,7 +7,7 @@ class EapcaSpec extends AnyFunSuite {
 
   private def leafWith(ends: Array[Int], members: Seq[Array[Float]]): Node = {
     val n = new Node(ends, 0)
-    members.foreach(n.updateSynopsis)
+    members.foreach(s => n.updateSynopsis(new SeriesCtx(s)))
     n
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 
 /** Generators: determinism, normalization, workload construction. */
 class SeriesGenSpec extends AnyFunSuite {
@@ -18,7 +19,7 @@ class SeriesGenSpec extends AnyFunSuite {
 
     test(s"$kind series are z-normalized") {
       val s = SeriesGen.seriesForId(kind, 5, 96, 3)
-      val (m, sd) = Stats.meanSd(s, 0, s.length)
+      val (m, sd) = TestUtil.meanSd(s, 0, s.length)
       assert(math.abs(m) < 1e-3)
       assert(math.abs(sd - 1.0) < 1e-3)
     }
@@ -52,7 +53,7 @@ class SeriesGenSpec extends AnyFunSuite {
         val best = data.map(s => Dist.ed2(q, s)).min
         // a sigma^2-perturbed z-normed series stays near its source
         assert(best < 64 * 1.5, s"query too far from every source: $best")
-        val (m, sd) = Stats.meanSd(q, 0, 64)
+        val (m, sd) = TestUtil.meanSd(q, 0, 64)
         assert(math.abs(m) < 1e-3 && math.abs(sd - 1.0) < 1e-3)
       }
     }

@@ -10,12 +10,55 @@ class TreeSpec extends AnyFunSuite {
     * the data to `body`; the HBuffer is closed afterwards.
     */
   private def withTree(n: Int, len: Int, leaf: Int, seed: Long)(
+      body: (HerculesTree, SeriesStore, Array[Array[Float]]) => Unit): Unit =
+    withBuild(TestUtil.cfg(len, leaf), BuildMode.PathLocked, TestUtil.dataset(n, len, seed)._2)(body)
+
+  /** Build `data` in `mode` and pass the tree, its HBuffer and the data to
+    * `body`; the HBuffer is closed afterwards.
+    */
+  private def withBuild(cfg: IndexConfig, mode: BuildMode, data: Array[Array[Float]])(
       body: (HerculesTree, SeriesStore, Array[Array[Float]]) => Unit): Unit = {
-    val cfg = TestUtil.cfg(len, leaf)
-    val (ids, data) = TestUtil.dataset(n, len, seed)
-    val (tree, store) = new ParallelBuilder(cfg, BuildMode.PathLocked).build(ids, data)
+    val (tree, store) = new ParallelBuilder(cfg, mode).build(Array.tabulate(data.length)(_.toLong), data)
     try body(tree, store, data) finally store.close()
   }
+
+  /** Assert that every member of every internal node's left subtree has its
+    * own [[SeriesCtx]] routing statistic `< split.value`, and every right
+    * member `>=`; returns the (member, ancestor) pairs checked.
+    */
+  private def assertRoutingAgrees(tree: HerculesTree, store: SeriesStore): Int = {
+    var pairs = 0
+    def walk(n: Node, path: List[(SplitInfo, Boolean)]): Unit =
+      if (n.isLeaf) store.gather(n).foreach { case (id, s) =>
+        val sc = new SeriesCtx(s)
+        path.foreach { case (split, left) =>
+          val stat = split.statOf(sc)
+          assert(if (left) stat < split.value else stat >= split.value,
+            s"series $id: stat $stat vs split value ${split.value}, left = $left")
+          pairs += 1
+        }
+      }
+      else {
+        walk(n.left, (n.split, true) :: path)
+        walk(n.right, (n.split, false) :: path)
+      }
+    walk(tree.root, Nil)
+    pairs
+  }
+
+  /** Every leaf's synopsis holds each member's [[SeriesCtx]] mean and sd. */
+  private def assertLeafSynopsesCover(tree: HerculesTree, store: SeriesStore): Unit =
+    tree.root.leavesInorder.foreach { leaf =>
+      store.gather(leaf).foreach { case (id, s) =>
+        val sc = new SeriesCtx(s)
+        for (j <- 0 until leaf.segCount) {
+          val m = sc.mean(leaf.segStart(j), leaf.ends(j))
+          val sd = sc.sd(leaf.segStart(j), leaf.ends(j))
+          assert(m >= leaf.muMin(j) && m <= leaf.muMax(j), s"leaf ${leaf.id} series $id seg $j mean $m")
+          assert(sd >= leaf.sdMin(j) && sd <= leaf.sdMax(j), s"leaf ${leaf.id} series $id seg $j sd $sd")
+        }
+      }
+    }
 
   test("root of an empty tree is a single leaf over the whole length") {
     val tree = new HerculesTree(TestUtil.cfg(32), BuildMode.Hercules)
@@ -29,7 +72,7 @@ class TreeSpec extends AnyFunSuite {
       withTree(300, 32, 16, seed) { (tree, store, data) =>
         val stored = tree.root.leavesInorder.flatMap(l => store.gather(l)).toMap
         data.zipWithIndex.foreach { case (s, i) =>
-          val leaf = tree.root.leafFor(s)
+          val leaf = tree.root.leafFor(new SeriesCtx(s))
           val members = store.gather(leaf).map(_._1).toSet
           assert(members.contains(i.toLong), s"series $i not in its routed leaf")
         }
@@ -85,31 +128,31 @@ class TreeSpec extends AnyFunSuite {
 
   test("routing respects the split value on the routing segment") {
     withTree(300, 32, 16, 12) { (tree, store, _) =>
-      def walk(n: Node): Unit = if (!n.isLeaf) {
-        val s = n.split
-        n.left.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
-          assert(s.statOf(sv) < s.value)
-        }
-        n.right.leavesInorder.flatMap(store.gather).foreach { case (_, sv) =>
-          assert(s.statOf(sv) >= s.value)
-        }
-        walk(n.left); walk(n.right)
-      }
-      walk(tree.root)
+      assert(assertRoutingAgrees(tree, store) > 0)
     }
   }
 
-  test("leaf synopses cover their members") {
-    withTree(300, 32, 16, 13) { (tree, store, _) =>
-      tree.root.leavesInorder.foreach { leaf =>
-        store.gather(leaf).foreach { case (_, s) =>
-          for (j <- 0 until leaf.segCount) {
-            val (m, sd) = Stats.meanSd(s, leaf.segStart(j), leaf.ends(j))
-            assert(m >= leaf.muMin(j) - 1e-9 && m <= leaf.muMax(j) + 1e-9)
-            assert(sd >= leaf.sdMin(j) - 1e-9 && sd <= leaf.sdMax(j) + 1e-9)
-          }
-        }
+  // Split choice, routing and synopses read one statistic, so no member sits
+  // on the wrong side of an ancestor's split even where `sum2/len − m²`
+  // would cancel: noisy flat lines at 1e6, and walks mixed with them at 1e5.
+  for ((kind, offset) <- Seq(("noisy-flat", 1e6), ("mixed", 1e5));
+       (mode, threads) <- Seq[(BuildMode, Int)]((BuildMode.Hercules, 4), (BuildMode.PathLocked, 1));
+       seed <- 1 to 2)
+    test(s"members are routed on the statistic their splits were chosen on ($kind at $offset, $mode, seed $seed)") {
+      val data = TestUtil.offsetSet(kind, 1200, 64, offset, seed)
+      withBuild(TestUtil.cfg(64, 16, threads), mode, data) { (tree, store, _) =>
+        assert(tree.leafCount > 1)
+        assert(assertRoutingAgrees(tree, store) > 0)
       }
+    }
+
+  test("leaf synopses cover their members") {
+    withTree(300, 32, 16, 13) { (tree, store, _) => assertLeafSynopsesCover(tree, store) }
+  }
+
+  test("leaf synopses cover their members (noisy flat lines at offset 1e6)") {
+    withBuild(TestUtil.cfg(64, 16), BuildMode.PathLocked, TestUtil.offsetSet("noisy-flat", 1200, 64, 1e6, 1)) {
+      (tree, store, _) => assertLeafSynopsesCover(tree, store)
     }
   }
 
@@ -165,10 +208,10 @@ class TreeSpec extends AnyFunSuite {
   test("SplitPolicy.choose separates distinguishable data") {
     val data = SeriesGen.dataset("walk", 30, 32, 3).toIndexedSeq
     val node = new Node(Array(32), 0)
-    data.foreach(node.updateSynopsis)
+    data.foreach(s => node.updateSynopsis(new SeriesCtx(s)))
     val p = SplitPolicy.choose(node, data)
     assert(p.isDefined)
-    val left = data.count(p.get.goesLeft)
+    val left = data.count(s => p.get.goesLeft(new SeriesCtx(s)))
     assert(left > 0 && left < data.length)
   }
 
@@ -176,7 +219,7 @@ class TreeSpec extends AnyFunSuite {
     val s = Array.fill(16)(2f)
     val node = new Node(Array(16), 0)
     val data = IndexedSeq.fill(8)(s)
-    data.foreach(node.updateSynopsis)
+    data.foreach(s => node.updateSynopsis(new SeriesCtx(s)))
     assert(SplitPolicy.choose(node, data).isEmpty)
   }
 }

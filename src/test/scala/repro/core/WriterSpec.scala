@@ -9,9 +9,13 @@ import repro.TestUtil
 class WriterSpec extends AnyFunSuite {
 
   private def build(n: Int, threads: Int, writerThreads: Int, seed: Long,
-                    mode: BuildMode = BuildMode.Hercules): (HerculesIndex, Array[Long], Array[Array[Float]]) = {
-    val cfg = TestUtil.cfg(32, 16, threads).copy(writerThreads = writerThreads)
-    val (ids, data) = TestUtil.dataset(n, 32, seed)
+                    mode: BuildMode = BuildMode.Hercules): (HerculesIndex, Array[Long], Array[Array[Float]]) =
+    buildOf(TestUtil.dataset(n, 32, seed)._2, threads, writerThreads, mode)
+
+  private def buildOf(data: Array[Array[Float]], threads: Int, writerThreads: Int,
+                      mode: BuildMode): (HerculesIndex, Array[Long], Array[Array[Float]]) = {
+    val cfg = TestUtil.cfg(data.head.length, 16, threads).copy(writerThreads = writerThreads)
+    val ids = Array.tabulate(data.length)(_.toLong)
     (HerculesIndex.build(ids, data, cfg, mode), ids, data)
   }
 
@@ -49,30 +53,28 @@ class WriterSpec extends AnyFunSuite {
   }
 
   // Hercules trees get their synopses from the writer, path-locked trees
-  // from their inserts, on any thread count.
-  for ((label, mode, buildThreads, writerThreads, seed) <- Seq(
-         ("writerThreads=1", BuildMode.Hercules, 4, 1, 4L),
-         ("writerThreads=4", BuildMode.Hercules, 4, 4, 5L),
-         ("PathLocked, buildThreads=1", BuildMode.PathLocked, 1, 1, 4L),
-         ("PathLocked, buildThreads=4", BuildMode.PathLocked, 4, 4, 5L)))
+  // from their inserts, on any thread count; each holds every member's own
+  // SeriesCtx statistic exactly, also for noisy flat lines at offset 1e6.
+  private val noisyFlat = TestUtil.offsetSet("noisy-flat", 1200, 64, 1e6, 1)
+  for ((label, mode, buildThreads, writerThreads, data) <- Seq(
+         ("writerThreads=1", BuildMode.Hercules, 4, 1, TestUtil.dataset(500, 32, 4)._2),
+         ("writerThreads=4", BuildMode.Hercules, 4, 4, TestUtil.dataset(500, 32, 5)._2),
+         ("PathLocked, buildThreads=1", BuildMode.PathLocked, 1, 1, TestUtil.dataset(500, 32, 4)._2),
+         ("PathLocked, buildThreads=4", BuildMode.PathLocked, 4, 4, TestUtil.dataset(500, 32, 5)._2),
+         ("noisy flat lines at 1e6, writerThreads=4", BuildMode.Hercules, 4, 4, noisyFlat),
+         ("noisy flat lines at 1e6, PathLocked, buildThreads=1", BuildMode.PathLocked, 1, 1, noisyFlat)))
     test(s"internal synopses cover every subtree member ($label)") {
-      val (idx, _, _) = build(500, buildThreads, writerThreads, seed, mode)
-      def membersOf(n: Node): Seq[Array[Float]] =
-        n.leavesInorder.toSeq.flatMap { leaf =>
-          (leaf.filePos until leaf.filePos + leaf.leafSize).map { i =>
-            val s = new Array[Float](32)
-            System.arraycopy(idx.lrd, i * 32, s, 0, 32)
-            s
-          }
-        }
+      val (idx, _, _) = buildOf(data, buildThreads, writerThreads, mode)
+      val len = idx.len
       def walk(n: Node): Unit = {
-        val members = membersOf(n)
-        members.foreach { s =>
+        for (leaf <- n.leavesInorder; i <- leaf.positions) {
+          val sc = new SeriesCtx(java.util.Arrays.copyOfRange(idx.lrd, i * len, (i + 1) * len))
           for (j <- 0 until n.segCount) {
-            val (m, sd) = Stats.meanSd(s, n.segStart(j), n.ends(j))
-            assert(m >= n.muMin(j) - 1e-6 && m <= n.muMax(j) + 1e-6,
+            val m = sc.mean(n.segStart(j), n.ends(j))
+            val sd = sc.sd(n.segStart(j), n.ends(j))
+            assert(m >= n.muMin(j) && m <= n.muMax(j),
               s"node ${n.id} seg $j mean $m not in [${n.muMin(j)}, ${n.muMax(j)}]")
-            assert(sd >= n.sdMin(j) - 1e-6 && sd <= n.sdMax(j) + 1e-6,
+            assert(sd >= n.sdMin(j) && sd <= n.sdMax(j),
               s"node ${n.id} seg $j sd $sd not in [${n.sdMin(j)}, ${n.sdMax(j)}]")
           }
         }
