@@ -7,6 +7,9 @@ import repro.spark.{Distributed, SeriesFrames}
   * Hercules indexes over a generated dataset and persist them to a directory.
   *
   * Usage: BuildIndexJob <outDir> [kind] [nSeries] [len] [partitions]
+  *
+  * `outDir` must not already hold `.idx` files from an earlier save: the
+  * save rejects such a directory before it writes anything.
   */
 object BuildIndexJob {
   def main(args: Array[String]): Unit = {

@@ -22,9 +22,9 @@ import scala.collection.mutable.ArrayBuffer
 object SplitPolicy {
 
   /** Per-series mean and sd of the segment `[from, until)`, and their
-    * min/max over the whole node.
+    * min/max over the whole node (also [[IndexWriter]]'s VSplitSynopsis fold).
     */
-  private final class Column(ctxs: Array[SeriesCtx], from: Int, until: Int) {
+  private[core] final class Column(ctxs: Array[SeriesCtx], from: Int, until: Int) {
     val len: Int = until - from
     val mu = new Array[Double](ctxs.length)
     val sd = new Array[Double](ctxs.length)
@@ -229,7 +229,6 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) {
       if (n.isLeaf) appendToLeaf(n, id, sc, worker, store)
       else {
         n.updateSynopsis(sc)
-        n.count += 1
         insertPathLocked(if (n.split.goesLeft(sc)) n.left else n.right, id, sc, worker, store)
       }
     }

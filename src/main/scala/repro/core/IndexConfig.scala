@@ -3,7 +3,8 @@ package repro.core
 /** All tunables of a Hercules (or baseline) index instance.
   *
   * Paper defaults (§4.2): leaf capacity 100K, 16 SAX segments, alphabet 256,
-  * Lmax 80, EAPCA_TH 0.25, SAX_TH 0.50, 24 build threads, flush threshold 12.
+  * Lmax 80, EAPCA_TH 0.25, SAX_TH 0.50, 24 build threads, flush threshold 12
+  * (half the build threads, as [[ParallelBuilder]] derives it).
   * Scaled-down builds keep the ratios but shrink absolute sizes (DESIGN.md §7).
   *
   * @param seriesLength    number of points per data series (fixed per index)
@@ -19,7 +20,6 @@ package repro.core
   *                        one DBuffer chunk. Even then a flush can occur with
   *                        several threads, when one claims more than its
   *                        region holds (paper: 60GB buffer)
-  * @param flushThreshold  number of full worker regions that triggers a flush
   */
 final case class IndexConfig(
     seriesLength: Int,
@@ -30,7 +30,6 @@ final case class IndexConfig(
     writerThreads: Int = 1,
     dbSize: Int = 2048,
     hbufferSlots: Int = 0,
-    flushThreshold: Int = 2,
 ) {
   require(seriesLength > 0, "seriesLength must be positive")
   require(leafCapacity >= 2, "leafCapacity must be at least 2")

@@ -76,14 +76,9 @@ object IndexWriter {
     leaf.unsplittableAs = null
 
     if (rebuildSynopses && leaf.parent != null) {
-      // Segments of this leaf, keyed by their (start, end) range.
-      val leafSegs = new java.util.HashMap[Long, Integer]
-      var j = 0
-      while (j < leaf.segCount) {
-        leafSegs.put(leaf.segStart(j).toLong << 32 | leaf.ends(j), j)
-        j += 1
-      }
       // Destroyed ranges to recompute from raw data: (node, segIdx, st, en).
+      // A leaf's segmentation refines every ancestor's, so an ancestor's
+      // segment survives intact iff the leaf has a segment with its bounds.
       val destroyed = new ArrayBuffer[(Node, Int, Int, Int)]
       var a = leaf.parent
       while (a != null) {
@@ -92,8 +87,8 @@ object IndexWriter {
           while (k < a.segCount) {
             val st = a.segStart(k)
             val en = a.ends(k)
-            val mine = leafSegs.get(st.toLong << 32 | en)
-            if (mine != null) // HSplitSynopsis
+            val mine = java.util.Arrays.binarySearch(leaf.ends, en)
+            if (leaf.segStart(mine) == st) // HSplitSynopsis
               a.widen(k, leaf.muMin(mine), leaf.muMax(mine), leaf.sdMin(mine), leaf.sdMax(mine))
             else destroyed += ((a, k, st, en))
             k += 1
@@ -102,24 +97,13 @@ object IndexWriter {
         a = a.parent
       }
       if (destroyed.nonEmpty) {
-        // VSplitSynopsis: the members' SeriesCtx read once per distinct
-        // destroyed range, folded locally, then one locked update per node.
-        val ctxs = vals.map { case (_, s) => new SeriesCtx(s) }
+        // VSplitSynopsis: the members' SeriesCtx folded once per distinct
+        // destroyed range, then one locked update per node.
+        val ctxs = vals.iterator.map { case (_, s) => new SeriesCtx(s) }.toArray
         destroyed.groupBy(d => (d._3, d._4)).foreach { case ((st, en), entries) =>
-          var mMin = Double.PositiveInfinity
-          var mMax = Double.NegativeInfinity
-          var sMin = Double.PositiveInfinity
-          var sMax = Double.NegativeInfinity
-          ctxs.foreach { sc =>
-            val m = sc.mean(st, en)
-            val sd = sc.sd(st, en)
-            if (m < mMin) mMin = m
-            if (m > mMax) mMax = m
-            if (sd < sMin) sMin = sd
-            if (sd > sMax) sMax = sd
-          }
+          val c = new SplitPolicy.Column(ctxs, st, en)
           entries.foreach { case (node, k, _, _) =>
-            node.synchronized(node.widen(k, mMin, mMax, sMin, sMax))
+            node.synchronized(node.widen(k, c.muMin, c.muMax, c.sdMin, c.sdMax))
           }
         }
       }

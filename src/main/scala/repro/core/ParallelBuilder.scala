@@ -26,13 +26,15 @@ object BuildMode {
   * `data[c·dbSize, min(n, (c+1)·dbSize))`. `cfg.buildThreads` InsertWorkers
   * claim a chunk's series one at a time from one fetch-add cursor and insert
   * them with [[HerculesTree.insert]]. A worker claims only while its HBuffer
-  * region has a free slot (each insert takes exactly one); a worker whose
-  * region fills, at the start of a chunk or in the middle of one, raises the
-  * flush counter. Every worker then parks at the end-of-chunk barrier. Its
-  * action is the FlushCoordinator — one thread, all others parked: it decides
-  * whether to flush, spills every leaf's buffered series to its spill file,
-  * inserts any series left unclaimed on region 0 (a catch-up insert, counted
-  * by [[catchUpInserts]]), then resets the cursor to the next chunk.
+  * region has a free slot (each insert takes exactly one), then parks at the
+  * end-of-chunk barrier. Its action is the FlushCoordinator — one thread, all
+  * others parked — and it only flushes: when at least half the workers'
+  * regions, `(workers + 1) / 2`, have no free slot (the paper's 12 of 24
+  * build threads), it spills every leaf's buffered series to its spill file
+  * and empties every region. It then moves the cursor to the next chunk if
+  * this one is consumed; otherwise the workers resume the same chunk from
+  * the cursor. A chunk is left unfinished only when every worker stopped on
+  * a full region, and then the action has just flushed.
   *
   * An insert that throws records its exception and its worker still reaches
   * the barrier, whose action then ends the build; [[build]] closes the
@@ -46,11 +48,6 @@ object BuildMode {
   * instead keeps every worker inserting until its region is actually full.
   */
 final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
-  private var catchUps = 0
-
-  /** Series the FlushCoordinator inserted itself in the last [[build]]. */
-  def catchUpInserts: Int = catchUps
-
   /** Build the tree over `(ids, data)`; returns the tree plus the HBuffer
     * (still holding unflushed leaf data — the IndexWriter consumes it and
     * closes it; a caller that stops here calls `close` itself).
@@ -58,9 +55,9 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
   def build(ids: Array[Long], data: Array[Array[Float]]): (HerculesTree, SeriesStore) = {
     require(ids.length == data.length)
     val n = data.length
-    catchUps = 0
     val tree = new HerculesTree(cfg, mode)
     val workers = math.max(1, cfg.buildThreads)
+    val flushAt = (workers + 1) / 2
     val dbSize = math.max(1, math.min(cfg.dbSize, math.max(1, n)))
     val totalSlots = if (cfg.hbufferSlots > 0) cfg.hbufferSlots else n + dbSize
     val store = SeriesStore.create(cfg.seriesLength, workers, totalSlots, dbSize)
@@ -69,30 +66,16 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     var chunk = 0 // written only by the barrier action; the barrier publishes it
     def chunkEnd: Int = math.min(n, (chunk + 1) * dbSize)
     val cursor = new AtomicInteger(0)
-    val flushCounter = new AtomicInteger(0)
     val failure = new AtomicReference[Throwable]
     def guarded(body: => Unit): Unit =
       try body catch { case e: Throwable => failure.compareAndSet(null, e) }
 
     val barrier = new CyclicBarrier(workers, () => {
       if (failure.get == null) guarded {
-        val end = chunkEnd
-        val consumed = cursor.get() >= end
-        if (flushCounter.get() >= cfg.flushThreshold || (!consumed && flushCounter.get() > 0)) {
-          store.flushAll(tree.root)
-          flushCounter.set(0)
-        }
-        // Catch up series left by full workers: regions were just emptied,
-        // and one chunk always fits one region (SeriesStore.create guarantee).
-        var i = cursor.getAndIncrement()
-        while (i < end) {
-          tree.insert(ids(i), data(i), 0, store)
-          catchUps += 1
-          i = cursor.getAndIncrement()
-        }
+        if ((0 until workers).count(store.freeSlots(_) == 0) >= flushAt) store.flushAll(tree.root)
       }
-      chunk = if (failure.get == null) chunk + 1 else chunks
-      cursor.set(chunk * dbSize)
+      if (failure.get != null) chunk = chunks
+      else if (cursor.get() >= chunkEnd) { chunk += 1; cursor.set(chunk * dbSize) }
     })
 
     // The barrier needs every worker running at once; Par's pool is an
@@ -104,7 +87,6 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
           var i = 0
           while (store.freeSlots(w) > 0 && { i = cursor.getAndIncrement(); i < end })
             tree.insert(ids(i), data(i), w, store)
-          if (store.freeSlots(w) == 0) flushCounter.incrementAndGet()
         }
         barrier.await()
       }

@@ -168,9 +168,13 @@ object SeriesStore {
     * deletes.
     *
     * @param totalSlots capacity across all workers; rounded up so each region
-    *                   holds at least `minRegion` series (the DBuffer chunk:
-    *                   after a flush, the FlushCoordinator's catch-up inserts
-    *                   of one chunk's leftovers must fit one region).
+    *                   holds at least `minRegion` series (the DBuffer chunk),
+    *                   as Algorithm 2 requires of a worker that takes part in
+    *                   a chunk. The recorded benchmark builds ran on this
+    *                   size and its flush schedule (`synth-node`'s 6144-slot
+    *                   HBuffer on 4 workers, with 2048-series chunks, holds
+    *                   8192 slots); dropping the rounding changes both and
+    *                   is a change of its own, to be measured as one.
     */
   def create(seriesLen: Int, numWorkers: Int, totalSlots: Int, minRegion: Int): SeriesStore = {
     val region = math.max(minRegion, (totalSlots + numWorkers - 1) / numWorkers)

@@ -2,6 +2,7 @@ package repro.spark
 
 import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
 import java.nio.file.{Files, Paths}
+import scala.jdk.CollectionConverters._
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{IndexConfig, KnnSet, Neighbor, Par, QueryKnobs, QueryStats}
@@ -157,9 +158,13 @@ object Distributed {
     }.toSeq.toDF("qid", "sid", "dist")
   }
 
-  /** Persist each partition's index as one serialized file under `dir`. */
+  /** Persist each partition's index as one serialized file under `dir`.
+    * Rejects, before the job runs, a `dir` that already holds `.idx` files:
+    * [[loadFromDir]] would load an earlier save's leftover partitions too.
+    */
   def saveToDir(built: BuiltIndex, dir: String): Unit = {
     Files.createDirectories(Paths.get(dir))
+    require(idxFiles(dir).isEmpty, s"$dir already holds .idx files; save into an empty directory")
     built.rdd.mapPartitionsWithIndex { (pid, it) =>
       it.foreach { idx =>
         val out = new ObjectOutputStream(new BufferedOutputStream(
@@ -173,7 +178,7 @@ object Distributed {
 
   /** Reload a saved per-partition index collection (one task per file). */
   def loadFromDir(spark: SparkSession, dir: String): BuiltIndex = {
-    val files = Files.list(Paths.get(dir)).toArray.map(_.toString).filter(_.endsWith(".idx")).sorted
+    val files = idxFiles(dir)
     require(files.nonEmpty, s"no index files under $dir")
     val rdd = spark.sparkContext
       .parallelize(files.toSeq, files.length)
@@ -183,5 +188,12 @@ object Distributed {
         finally in.close()
       }
     materialize(rdd, files.length, s"partitions under $dir")
+  }
+
+  /** The saved partition files under `dir`, sorted by path. */
+  private def idxFiles(dir: String): Array[String] = {
+    val files = Files.list(Paths.get(dir))
+    try files.iterator.asScala.map(_.toString).filter(_.endsWith(".idx")).toArray.sorted
+    finally files.close()
   }
 }

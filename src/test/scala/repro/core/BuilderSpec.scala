@@ -12,9 +12,11 @@ import repro.TestUtil
   */
 class BuilderSpec extends AnyFunSuite {
 
-  private def checkBuild(mode: BuildMode, cfg: IndexConfig, n: Int, seed: Long): Unit = {
+  /** Build, check the index, and return the build's flush count. */
+  private def checkBuild(mode: BuildMode, cfg: IndexConfig, n: Int, seed: Long): Int = {
     val (ids, data) = TestUtil.dataset(n, cfg.seriesLength, seed)
-    val idx = HerculesIndex.build(ids, data, cfg, mode)
+    val (tree, store) = new ParallelBuilder(cfg, mode).build(ids, data)
+    val idx = IndexWriter.write(tree, store, threads = cfg.writerThreads)
     assert(idx.nSeries == n, s"indexed ${idx.nSeries} of $n")
     assert(idx.ids.sorted.toSeq == ids.sorted.toSeq, "id multiset changed")
     // exactness over a few queries
@@ -23,6 +25,7 @@ class BuilderSpec extends AnyFunSuite {
       val res = idx.knn(q, QueryKnobs(k = 3, lmax = 4, threads = 2))
       TestUtil.assertExact(ids, data, q, 3, res, s"mode=$mode q$qi")
     }
+    store.flushCount
   }
 
   for (threads <- Seq(2, 4); seed <- 1 to 2)
@@ -38,13 +41,13 @@ class BuilderSpec extends AnyFunSuite {
   for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
     test(s"forced flush/spill path stays exact ($mode)") {
       // HBuffer of 96 slots across 3 workers with chunks of 24 — many flushes.
-      val cfg = TestUtil.cfg(32, 8, 3).copy(dbSize = 24, hbufferSlots = 96, flushThreshold = 1)
-      checkBuild(mode, cfg, 600, 99)
+      val cfg = TestUtil.cfg(32, 8, 3).copy(dbSize = 24, hbufferSlots = 96)
+      assert(checkBuild(mode, cfg, 600, 99) > 0)
     }
 
   test("forced flush in sequential mode stays exact") {
-    val cfg = TestUtil.cfg(32, 8).copy(dbSize = 16, hbufferSlots = 32, flushThreshold = 1)
-    checkBuild(BuildMode.PathLocked, cfg, 400, 17)
+    val cfg = TestUtil.cfg(32, 8).copy(dbSize = 16, hbufferSlots = 32)
+    assert(checkBuild(BuildMode.PathLocked, cfg, 400, 17) > 0)
   }
 
   test("empty dataset builds an empty index") {
@@ -74,25 +77,20 @@ class BuilderSpec extends AnyFunSuite {
     assert(a.nSeries == b.nSeries)
   }
 
-  test("with hbufferSlots = 0, four workers make no catch-up inserts") {
-    // The regions hold n + dbSize slots in total, so while a chunk is
-    // unclaimed some worker has a free slot and keeps claiming.
+  test("with hbufferSlots = 0, four workers index every series once") {
     val cfg = TestUtil.cfg(32, 16, 4)
     for (seed <- 1 to 3) {
       val (ids, data) = TestUtil.dataset(3000, 32, seed)
-      val builder = new ParallelBuilder(cfg, BuildMode.Hercules)
-      val (tree, store) = builder.build(ids, data)
-      try {
-        assert(builder.catchUpInserts == 0, s"seed $seed")
-        assert(tree.root.leavesInorder.map(_.count).sum == 3000)
-      } finally store.close()
+      val (tree, store) = new ParallelBuilder(cfg, BuildMode.Hercules).build(ids, data)
+      try assert(tree.root.leavesInorder.map(_.count).sum == 3000, s"seed $seed")
+      finally store.close()
     }
   }
 
   for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
     test(s"regions smaller than two chunks index every id once, exactly ($mode)") {
       // 4 regions of 48 slots, chunks of 32: workers fill mid-chunk.
-      val cfg = TestUtil.cfg(32, 8, 4).copy(dbSize = 32, hbufferSlots = 192, flushThreshold = 2)
+      val cfg = TestUtil.cfg(32, 8, 4).copy(dbSize = 32, hbufferSlots = 192)
       val (ids, data) = TestUtil.dataset(1500, 32, 31)
       val builder = new ParallelBuilder(cfg, mode)
       val (_, store) = builder.build(ids, data)
@@ -121,10 +119,11 @@ class BuilderSpec extends AnyFunSuite {
 
   test("neither a flushing build nor a failing one leaves its spill directory") {
     val before = spillDirs()
-    val cfg = TestUtil.cfg(32, 8, 3).copy(dbSize = 24, hbufferSlots = 96, flushThreshold = 1)
+    val cfg = TestUtil.cfg(32, 8, 3).copy(dbSize = 24, hbufferSlots = 96)
     val (ids, data) = TestUtil.dataset(600, 32, 99)
-    val idx = HerculesIndex.build(ids, data, cfg)
-    assert(idx.nSeries == 600)
+    val (tree, store) = new ParallelBuilder(cfg, BuildMode.Hercules).build(ids, data)
+    assert(IndexWriter.write(tree, store, threads = cfg.writerThreads).nSeries == 600)
+    assert(store.flushCount > 0)
     assert(spillDirs() -- before == Set.empty, "after a forced-flush build")
     data(300) = data(300).take(20)
     intercept[IndexOutOfBoundsException](new ParallelBuilder(cfg, BuildMode.Hercules).build(ids, data))

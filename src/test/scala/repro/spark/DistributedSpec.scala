@@ -215,9 +215,20 @@ class DistributedSpec extends SparkSpec {
       } finally built.unpersist()
     }
 
+  /** Run `body` on a fresh temp directory, then delete it and its files. */
+  private def withTempDir(prefix: String)(body: String => Unit): Unit = {
+    val dir = Files.createTempDirectory(prefix)
+    try body(dir.toString)
+    finally {
+      val files = Files.list(dir)
+      try files.forEach(f => Files.delete(f))
+      finally files.close()
+      Files.delete(dir)
+    }
+  }
+
   test("save/load round-trips the per-partition indexes") {
-    for (method <- LocalIndex.builders.keys) {
-      val dir = Files.createTempDirectory(s"hercules-dist-$method").toString
+    for (method <- LocalIndex.builders.keys) withTempDir(s"hercules-dist-$method") { dir =>
       val built = Distributed.build(df, method, cfg, 3)
       try {
         Distributed.saveToDir(built, dir)
@@ -244,6 +255,22 @@ class DistributedSpec extends SparkSpec {
           }
         } finally loaded.unpersist()
       } finally built.unpersist()
+    }
+  }
+
+  test("saving into a directory that holds an earlier save's .idx files is rejected") {
+    withTempDir("hercules-dist-resave") { dir =>
+      val three = Distributed.build(df, "hercules", cfg, 3)
+      try Distributed.saveToDir(three, dir)
+      finally three.unpersist()
+      val two = Distributed.build(df, "hercules", cfg, 2)
+      try {
+        val e = intercept[IllegalArgumentException](Distributed.saveToDir(two, dir))
+        assert(e.getMessage.contains(dir))
+      } finally two.unpersist()
+      val loaded = Distributed.loadFromDir(spark, dir)
+      try assert(loaded.partitions == 3 && loaded.totalSeries == n)
+      finally loaded.unpersist()
     }
   }
 
