@@ -19,7 +19,7 @@ final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
     val refiner = new Refiner(idx, q, knobs.k, stats)
     def scanLeaf(leaf: Node): Unit = {
-      refiner.scan(Vector(leaf.positions))
+      refiner.scan(leaf.positions)
       stats.leavesVisited.incrementAndGet()
     }
 

@@ -44,7 +44,7 @@ final class ParISIndex(
     // group by Hamming distance on the top bits when the exact one is empty).
     val group = groups.getOrElse(qKey,
       groups.minByOption { case (key, _) => Integer.bitCount(key ^ qKey) }.map(_._2).getOrElse(Array.empty[Int]))
-    refiner.scan(Vector(0 until math.min(group.length, 4096)), at = group)
+    refiner.scan(0 until math.min(group.length, 4096), at = group)
 
     // SIMS filtering: parallel LB_SAX over every summary in LSDFile.
     val t = knobs.threads

@@ -32,7 +32,7 @@ final class VAFile(
     val refiner = new Refiner(this, q, knobs.k, stats)
     val qf = VAFile.transform(q)
     val seed = math.min(256, nSeries)
-    refiner.scan(Vector(0 until seed))
+    refiner.scan(0 until seed)
     refiner.refine(refiner.filter(Vector(seed until nSeries), 1) { (_, i) =>
       var lb2 = 0.0
       var d = 0

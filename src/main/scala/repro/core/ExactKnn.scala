@@ -6,8 +6,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Step 1 — approximate search: a priority queue ordered by `LB_EAPCA` guides
   * the traversal; at most `Lmax` leaves are visited with real-distance scans.
-  * Step 2 — candidate leaves: the queue is drained into LCList (sorted by
-  * LRDFile position); if EAPCA pruning is below `EAPCA_TH` a single-thread
+  * Step 2 — candidate leaves: the subtrees left in the queue are walked
+  * for the leaves the BSF admits, which form LCList (sorted by LRDFile
+  * position); if EAPCA pruning is below `EAPCA_TH` a single-thread
   * skip-sequential scan finishes the query.
   * Step 3 — candidate series: parallel workers filter LCList's series with
   * `LB_SAX`, read from a table built once per query, into per-thread
@@ -29,7 +30,7 @@ object ExactKnn {
     // ---- Step 1: Approx-kNN (Algorithm 11) ----
     var visited = 0
     val exactDone = pq.run { (leaf, _) =>
-      refiner.scan(Vector(leaf.positions))
+      refiner.scan(leaf.positions)
       visited += 1
       stats.leavesVisited.incrementAndGet()
       visited < knobs.lmax
@@ -37,16 +38,14 @@ object ExactKnn {
     if (exactDone) return results.toArray
 
     // ---- Step 2: FindCandidateLeaves (Algorithm 12) ----
-    val lc = new ArrayBuffer[(Node, Double)]
-    pq.run { (leaf, lb2) => lc += ((leaf, lb2)); true }
-    val lcSorted = lc.sortBy(_._1.filePos)
+    val lcSorted = pq.collect().sortBy(_._1.filePos)
     stats.candidateLeaves = lcSorted.size
     val eapcaPr = 1.0 - lcSorted.size.toDouble / math.max(1, idx.totalLeaves)
     if (knobs.useThresholds && eapcaPr < knobs.eapcaTh) {
       // Skip-sequential scan in LRDFile order, re-checking each leaf's bound
       // against the evolving BSF.
       lcSorted.foreach { case (leaf, lb2) =>
-        if (Refiner.admits(lb2, results.bsf)) refiner.scan(Vector(leaf.positions))
+        if (Refiner.admits(lb2, results.bsf)) refiner.scan(leaf.positions)
       }
       stats.skipSeqEapca = true
       return results.toArray
@@ -112,6 +111,30 @@ final class EapcaQueue(qc: SeriesCtx, results: KnnSet) {
       else { push(e.node.left); push(e.node.right) }
     }
     pq.isEmpty
+  }
+
+  /** Every leaf that the queued nodes' subtrees hold and the BSF admits,
+    * with its bound, in no set order; empties the queue. For a BSF that does
+    * not move meanwhile (no insert into `results`), these are the leaves
+    * that draining [[run]] passes, but without a heap: an explicit stack
+    * walks the subtrees, testing each node's bound once, when it is visited.
+    */
+  def collect(): ArrayBuffer[(Node, Double)] = {
+    val out = new ArrayBuffer[(Node, Double)]
+    val stack = new java.util.ArrayDeque[Entry](pq)
+    pq.clear()
+    val bsf = results.bsf
+    while (!stack.isEmpty) {
+      val e = stack.pop()
+      if (Refiner.admits(e.lb2, bsf)) {
+        if (e.node.isLeaf) out += ((e.node, e.lb2))
+        else {
+          stack.push(new Entry(e.node.left, Eapca.lb2(qc, e.node.left)))
+          stack.push(new Entry(e.node.right, Eapca.lb2(qc, e.node.right)))
+        }
+      }
+    }
+    out
   }
 }
 

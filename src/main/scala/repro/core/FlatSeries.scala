@@ -38,26 +38,30 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
   private val len = data.len
   private val lrd = data.lrd
   private val ids = data.ids
+  private val qd = Dist.widen(q)
 
   /** The answers so far. */
   val results = new KnnSet(k)
 
-  /** Range scan: the real distance of every series of `ranges`, in order,
-    * with no lower-bound test; `threads` workers claim ranges one at a time.
-    * With `at`, a range holds indices into `at`, which holds the positions.
+  /** Range scan: the real distance of every series of `range`, in order,
+    * with no lower-bound test. With `at`, the range holds indices into `at`,
+    * which holds the positions.
     */
-  def scan(ranges: collection.IndexedSeq[Range], threads: Int = 1, at: Array[Int] = null): Unit = {
-    Par.claim(threads, ranges.length) { (_, r) =>
-      val range = ranges(r)
-      var i = range.start
-      while (i < range.end) {
-        val pos = if (at == null) i else at(i)
-        results.add(Dist.ed2Flat(q, lrd, pos * len, results.bsf), ids(pos))
-        i += 1
-      }
-      stats.seriesAccessed.addAndGet(range.length)
+  def scan(range: Range, at: Array[Int] = null): Unit = {
+    var i = range.start
+    while (i < range.end) {
+      val pos = if (at == null) i else at(i)
+      results.add(Dist.ed2Flat(qd, lrd, pos * len, results.bsf), ids(pos))
+      i += 1
     }
+    stats.seriesAccessed.addAndGet(range.length)
   }
+
+  /** [[scan]] of every range of `ranges`; `threads` workers claim ranges
+    * one at a time.
+    */
+  def scan(ranges: collection.IndexedSeq[Range], threads: Int): Unit =
+    Par.claim(threads, ranges.length)((_, r) => scan(ranges(r)))
 
   /** Lower-bound filter: the `(pos, lb2)` of every position of `ranges`
     * whose squared lower bound `lb2(range index, pos)` passes against the BSF
@@ -93,7 +97,7 @@ final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats
         val (pos, lb2) = list(j)
         val bsf = results.bsf
         if (admits(lb2, bsf)) {
-          results.add(Dist.ed2Flat(q, lrd, pos * len, bsf), ids(pos))
+          results.add(Dist.ed2Flat(qd, lrd, pos * len, bsf), ids(pos))
           accessed += 1
         }
         j += 1

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
+
 /** iSAX summarization (Lin et al. SAX + Shieh/Keogh iSAX) and its lower bound.
   *
   * A series is first reduced to PAA (segment means over `m` equal-ish
@@ -105,11 +108,24 @@ object ISax {
   final class QueryTable private[ISax] (segments: Int, cardinality: Int, terms: Array[Double]) {
 
     /** Squared `LB_SAX` of the word at `words[off, off+segments)`: its terms
-      * added in segment order, bit-identical to [[ISax.lbSax2]].
+      * added in segment order, bit-identical to [[ISax.lbSax2]]. Whole
+      * groups of eight symbols are read with one little-endian load, so the
+      * lowest byte of a load is the group's first symbol; the tail symbols
+      * are read one by one.
       */
     def lb2(words: Array[Byte], off: Int): Double = {
-      var i = 0
       var acc = 0.0
+      var i = 0
+      while (i + 8 <= segments) {
+        var group = Longs.get(words, off + i): Long
+        var j = 0
+        while (j < 8) {
+          acc += terms((i + j) * cardinality + (group & 0xff).toInt)
+          group >>>= 8
+          j += 1
+        }
+        i += 8
+      }
       while (i < segments) {
         acc += terms(i * cardinality + (words(off + i) & 0xff))
         i += 1
@@ -117,6 +133,9 @@ object ISax {
       acc
     }
   }
+
+  /** Eight bytes of a byte array read as one little-endian `Long`. */
+  private val Longs = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
 
   /** Build the iSAX codec for an index config. */
   def apply(cfg: IndexConfig): ISax =

@@ -28,10 +28,12 @@ object BuildMode {
   * them with [[HerculesTree.insert]]. A worker claims only while its HBuffer
   * region has a free slot (each insert takes exactly one), then parks at the
   * end-of-chunk barrier. Its action is the FlushCoordinator — one thread, all
-  * others parked — and it only flushes: when at least half the workers'
-  * regions, `(workers + 1) / 2`, have no free slot (the paper's 12 of 24
-  * build threads), it spills every leaf's buffered series to its spill file
-  * and empties every region. It then moves the cursor to the next chunk if
+  * others parked — and it only flushes: when a series is still to be
+  * claimed and at least half the workers' regions, `(workers + 1) / 2`,
+  * have no free slot (the paper's 12 of 24 build threads), it spills every
+  * leaf's buffered series to its spill file and empties every region (once
+  * every series is claimed no insert follows, so they stay in the HBuffer
+  * for [[IndexWriter.write]]). It then moves the cursor to the next chunk if
   * this one is consumed; otherwise the workers resume the same chunk from
   * the cursor. A chunk is left unfinished only when every worker stopped on
   * a full region, and then the action has just flushed.
@@ -72,7 +74,8 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
 
     val barrier = new CyclicBarrier(workers, () => {
       if (failure.get == null) guarded {
-        if ((0 until workers).count(store.freeSlots(_) == 0) >= flushAt) store.flushAll(tree.root)
+        if (cursor.get() < n && (0 until workers).count(store.freeSlots(_) == 0) >= flushAt)
+          store.flushAll(tree.root)
       }
       if (failure.get != null) chunk = chunks
       else if (cursor.get() >= chunkEnd) { chunk += 1; cursor.set(chunk * dbSize) }

@@ -50,6 +50,14 @@ class BuilderSpec extends AnyFunSuite {
     assert(checkBuild(BuildMode.PathLocked, cfg, 400, 17) > 0)
   }
 
+  for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
+    test(s"no flush once every series is claimed ($mode)") {
+      // One region of 128 slots and chunks of 64: the region is full after
+      // chunks 2 and 4 of 4, but only the flush after chunk 2 precedes an insert.
+      val cfg = TestUtil.cfg(32, 8).copy(dbSize = 64, hbufferSlots = 128)
+      assert(checkBuild(mode, cfg, 256, 23) == 1)
+    }
+
   test("empty dataset builds an empty index") {
     val idx = HerculesIndex.build(Array.empty, Array.empty, TestUtil.cfg(16))
     assert(idx.nSeries == 0)

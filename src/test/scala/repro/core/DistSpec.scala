@@ -69,4 +69,52 @@ class DistSpec extends AnyFunSuite {
       below.foreach(b => assert(Dist.ed2Flat(q, s, 0, b) > b, s"bound $b"))
       above.foreach(b => assert(Dist.ed2Flat(q, s, 0, b) == full, s"bound $b"))
     }
+
+  /** [[Dist.ed2Flat]]'s loop with the float query widened point by point. */
+  private def widenedPerPoint(q: Array[Float], flat: Array[Float], off: Int, bound: Double): Double = {
+    val acc = new Array[Double](4)
+    var i = 0
+    while (i + 16 <= q.length) {
+      val lim = i + 16
+      while (i < lim) { val d = q(i).toDouble - flat(off + i); acc(i % 4) += d * d; i += 1 }
+      val sum = (acc(0) + acc(1)) + (acc(2) + acc(3))
+      if (sum > bound) return sum
+    }
+    while (i < q.length) { val d = q(i).toDouble - flat(off + i); acc(0) += d * d; i += 1 }
+    (acc(0) + acc(1)) + (acc(2) + acc(3))
+  }
+
+  for (len <- lengths)
+    test(s"the widened query gives the float adapter's and ed2's value at every offset and bound (len $len)") {
+      val rng = new Random(2000 + len)
+      val q = Array.fill(len)(rng.nextGaussian().toFloat)
+      val qd = Dist.widen(q)
+      val flat = Array.fill(4 * len)(rng.nextGaussian().toFloat * 2)
+      for (off <- 0 to 3 * len) {
+        val full = Dist.ed2(q, flat.slice(off, off + len))
+        val bounds = Seq(0.0, full / 2, math.nextDown(full), full, math.nextUp(full), Double.PositiveInfinity)
+        bounds.foreach { b =>
+          val wide = Dist.ed2Flat(qd, flat, off, b)
+          assert(java.lang.Double.compare(wide, Dist.ed2Flat(q, flat, off, b)) == 0, s"offset $off bound $b")
+          assert(java.lang.Double.compare(wide, widenedPerPoint(q, flat, off, b)) == 0, s"offset $off bound $b")
+          if (b >= full) assert(java.lang.Double.compare(wide, full) == 0, s"offset $off bound $b")
+        }
+      }
+    }
+
+  test("BruteForce.knn answers as a scan of ed2 per series does") {
+    val rng = new Random(77)
+    for (len <- Seq(5, 32, 100)) {
+      val data = Array.fill(300)(Array.fill(len)(rng.nextGaussian().toFloat))
+      data(7) = data(3).clone() // a tie at equal distance
+      val ids = Array.tabulate(data.length)(i => (i * 7919L) % 1000)
+      for (k <- Seq(1, 10)) {
+        val q = if (k == 1) data(3) else Array.fill(len)(rng.nextGaussian().toFloat)
+        val want = new KnnSet(k)
+        data.indices.foreach(i => want.add(Dist.ed2(q, data(i)), ids(i)))
+        val got = repro.baselines.BruteForce.knn(ids, data, q, k)
+        assert(got.toSeq == want.toArray.toSeq, s"len $len k $k")
+      }
+    }
+  }
 }

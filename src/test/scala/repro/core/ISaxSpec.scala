@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 
 /** iSAX codec: breakpoints, symbols, PAA, and the LB_SAX lower bound. */
 class ISaxSpec extends AnyFunSuite {
@@ -118,6 +119,34 @@ class ISaxSpec extends AnyFunSuite {
         words.indices.foreach { w =>
           assert(table.lb2(packed, w * 16) == s.lbSax2(paaQ, packed, w * 16),
             s"word ${words(w).map(_ & 0xff).mkString(",")} paa ${paaQ.mkString(",")}")
+        }
+      }
+    }
+
+  // The table reads whole groups of eight symbols per load, then the tail:
+  // segment counts below, at and between multiples of 8 (3 and 5 through an
+  // index config whose series are shorter than 8 points), words at odd
+  // offsets, and symbols >= 128, whose bytes are negative.
+  for ((len, segs) <- Seq((3, 3), (5, 5), (64, 8), (64, 12), (100, 16), (100, 20)))
+    test(s"the query table equals lbSax2 at every word offset ($segs segments, len $len)") {
+      val isax = if (len < 16) ISax(TestUtil.cfg(len)) else new ISax(len, segs, 256)
+      assert(isax.segments == segs && isax.cardinality == 256)
+      val rng = new Random(len * 31 + segs)
+      val paas = Seq.tabulate(4)(i => isax.paa(SeriesGen.dataset("walk", 1, len, segs + i)(0))) :+
+        Array.tabulate(segs)(j => if (j % 2 == 0) -50.0 else 50.0)
+      val words = Seq(Array.fill(segs)(0.toByte), Array.fill(segs)(255.toByte), Array.fill(segs)(128.toByte),
+        Array.tabulate(segs)(j => (128 + 127 * (j % 2)).toByte)) ++
+        Seq.fill(40)(Array.fill(segs)(rng.nextInt(256).toByte))
+      assert(words.exists(_.exists(b => (b & 0xff) >= 128)))
+      for (pad <- 0 to 8) {
+        val packed = Array.fill[Byte](pad)(rng.nextInt(256).toByte) ++ words.flatten
+        paas.foreach { paaQ =>
+          val table = isax.queryTable(paaQ)
+          words.indices.foreach { w =>
+            val off = pad + w * segs
+            assert(table.lb2(packed, off) == isax.lbSax2(paaQ, packed, off),
+              s"offset $off word ${words(w).map(_ & 0xff).mkString(",")}")
+          }
         }
       }
     }

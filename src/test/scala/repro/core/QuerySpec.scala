@@ -113,4 +113,62 @@ class QuerySpec extends AnyFunSuite {
     assert(st.leavesVisited.get >= 1)
     assert(st.seriesAccessed.get >= 1 && st.seriesAccessed.get <= n)
   }
+
+  /** Step 1 of [[ExactKnn.search]] on a heap written out here, then a drain
+    * of that heap: step 2's leaves and bounds, in LRDFile order.
+    */
+  private def heapDrain(idx: HerculesIndex, q: Array[Float], k: Int, lmax: Int): Seq[(Node, Double)] = {
+    val refiner = new Refiner(idx, q, k, new QueryStats)
+    val qc = new SeriesCtx(q)
+    val heap = new java.util.PriorityQueue[(Node, Double)](64,
+      (a: (Node, Double), b: (Node, Double)) => java.lang.Double.compare(a._2, b._2))
+    def push(n: Node): Unit = {
+      val lb2 = Eapca.lb2(qc, n)
+      if (lb2 <= refiner.results.bsf) heap.add((n, lb2))
+    }
+    push(idx.root)
+    var visited = 0
+    while (visited < lmax && !heap.isEmpty) {
+      val (n, lb2) = heap.poll()
+      if (lb2 > refiner.results.bsf) heap.clear()
+      else if (n.isLeaf) { refiner.scan(n.positions); visited += 1 }
+      else { push(n.left); push(n.right) }
+    }
+    val out = Seq.newBuilder[(Node, Double)]
+    while (!heap.isEmpty) {
+      val (n, lb2) = heap.poll()
+      if (lb2 > refiner.results.bsf) heap.clear()
+      else if (n.isLeaf) out += ((n, lb2))
+      else { push(n.left); push(n.right) }
+    }
+    out.result().sortBy(_._1.filePos)
+  }
+
+  /** Step 1 as [[ExactKnn.search]] runs it, then [[EapcaQueue.collect]]. */
+  private def collected(idx: HerculesIndex, q: Array[Float], k: Int, lmax: Int): Seq[(Node, Double)] = {
+    val refiner = new Refiner(idx, q, k, new QueryStats)
+    val pq = new EapcaQueue(new SeriesCtx(q), refiner.results)
+    pq.push(idx.root)
+    var visited = 0
+    pq.run { (leaf, _) => refiner.scan(leaf.positions); visited += 1; visited < lmax }
+    pq.collect().sortBy(_._1.filePos).toSeq
+  }
+
+  // Walks mixed with noisy flat lines, queried by more of them and by two
+  // indexed series (whose BSF after step 1 may already be 0).
+  for ((mode, threads) <- Seq[(BuildMode, Int)]((BuildMode.Hercules, 2), (BuildMode.PathLocked, 1)))
+    test(s"step 2 collects the leaves and bounds of a heap drain, in file order ($mode)") {
+      val data = TestUtil.offsetSet("mixed", 1000, len, 0.0, 5)
+      val ids = Array.tabulate(data.length)(_.toLong)
+      val idx = HerculesIndex.build(ids, data, TestUtil.cfg(len, 8, threads), mode)
+      val queries = TestUtil.offsetSet("mixed", 6, len, 0.0, 55) ++ Seq(data(4), data(5))
+      def key(leaves: Seq[(Node, Double)]) = leaves.map { case (n, lb2) => (n.id, n.filePos, lb2) }
+      var leaves = 0
+      for (q <- queries; k <- Seq(1, 10); lmax <- Seq(1, 4)) {
+        val got = collected(idx, q, k, lmax)
+        assert(key(got) == key(heapDrain(idx, q, k, lmax)), s"k $k lmax $lmax")
+        leaves += got.length
+      }
+      assert(leaves > 0)
+    }
 }
