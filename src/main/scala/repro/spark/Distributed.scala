@@ -58,20 +58,38 @@ object Distributed {
       else perQueryStats.map(_.accessFraction(totalSeries)).sum / perQueryStats.length
   }
 
-  /** Deal the rows of `df` (`id`, `series`) to `partitions` partitions and
-    * build one `method` index per partition inside `mapPartitions`, all in
-    * one job. The rows move by `RDD.repartition`: a SQL exchange would run
-    * its shuffle as a job of its own under adaptive query execution.
+  /** Build one `method` index per partition of `df` (`id`, `series`) into
+    * `partitions` partitions inside `mapPartitions`, all in one job.
+    *
+    * The rows move only when they have to. If the input has `m` partitions
+    * and `m` is a nonzero multiple of `partitions`, each build task reads
+    * `m / partitions` whole input partitions in place (`coalesce`, a narrow
+    * dependency, so the job has one stage). Otherwise `RDD.repartition`
+    * deals the rows evenly by a shuffle: coalescing whole partitions into a
+    * count that does not divide would leave one index partition up to twice
+    * as large as the others, and an input with no partitions must still
+    * give `partitions` empty indexes. A SQL exchange would run its shuffle
+    * as a job of its own under adaptive query execution.
+    *
+    * Two trade-offs of the shuffle-free path: the index partitions are only
+    * as balanced as the input's partitions, and an uncached input is
+    * computed inside the `partitions` build tasks, not by `m` tasks of its
+    * own. `LocalIndex.buildMs` starts once a task has gathered its rows, so
+    * it does not include that computation. Rejects a `partitions` below 1.
     */
   def build(df: DataFrame, method: String, cfg: IndexConfig, partitions: Int): BuiltIndex = {
+    require(partitions >= 1, s"partitions must be at least 1, got $partitions")
     val spark = df.sparkSession
     import spark.implicits._
-    val rdd = df.as[(Long, Array[Float])]
-      .rdd
-      .repartition(partitions)
+    val rows = df.as[(Long, Array[Float])].rdd
+    val m = rows.getNumPartitions
+    val rdd = rows
+      .coalesce(partitions, shuffle = m == 0 || m % partitions != 0)
       .mapPartitions { it =>
-        val arr = it.toArray
-        Iterator.single(LocalIndex.build(method, arr.map(_._1), arr.map(_._2), cfg))
+        val ids = Array.newBuilder[Long]
+        val series = Array.newBuilder[Array[Float]]
+        it.foreach { case (id, s) => ids += id; series += s }
+        Iterator.single(LocalIndex.build(method, ids.result(), series.result(), cfg))
       }
     materialize(rdd, partitions, s"partitions of $method")
   }

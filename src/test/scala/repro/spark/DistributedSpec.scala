@@ -1,9 +1,12 @@
 package repro.spark
 
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
+import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{ArrayType, FloatType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
@@ -14,7 +17,9 @@ import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, QueryStats, SeriesGen
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
   * counts must not change answers, save/load must round-trip for every
-  * method, and a build and a query batch must each be one Spark job.
+  * method, and a build and a query batch must each be one Spark job. A
+  * build reads its input partitions in place when their count is a
+  * multiple of the index's, and deals the rows by a shuffle otherwise.
   */
 class DistributedSpec extends SparkSpec {
 
@@ -116,21 +121,21 @@ class DistributedSpec extends SparkSpec {
     } finally built.unpersist()
   }
 
-  /** `body`'s result and the Spark jobs it started from this thread. The
-    * jobs run under a job group of their own; a marker job started after
-    * `body` under another group shows that the listener bus has delivered
-    * every earlier job start.
+  /** `body`'s result and the stage count of each Spark job it started from
+    * this thread, in start order. The jobs run under a job group of their
+    * own; a marker job started after `body` under another group shows that
+    * the listener bus has delivered every earlier job start.
     */
-  private def jobsStarted[T](body: => T): (T, Int) = {
+  private def jobStages[T](body: => T): (T, Seq[Int]) = {
     val sc = spark.sparkContext
     val group = s"counted-${System.nanoTime()}"
     val marker = s"$group-marker"
-    val counted = new AtomicInteger
+    val stages = new ConcurrentLinkedQueue[Int]
     val markerSeen = new AtomicInteger
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).foreach { g =>
-          if (g == group) counted.incrementAndGet()
+          if (g == group) stages.add(e.stageInfos.length)
           if (g == marker) markerSeen.incrementAndGet()
         }
     }
@@ -141,11 +146,17 @@ class DistributedSpec extends SparkSpec {
       sc.setJobGroup(marker, "marker")
       sc.parallelize(Seq(1), 1).count()
       eventually(timeout(30.seconds), interval(10.millis))(assert(markerSeen.get == 1))
-      (out, counted.get)
+      (out, stages.asScala.toSeq)
     } finally {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
+  }
+
+  /** `body`'s result and the Spark jobs it started from this thread. */
+  private def jobsStarted[T](body: => T): (T, Int) = {
+    val (out, stages) = jobStages(body)
+    (out, stages.length)
   }
 
   test("a build and a query batch are one Spark job each, and the index RDD keeps no lineage") {
@@ -161,6 +172,72 @@ class DistributedSpec extends SparkSpec {
         assert(res.neighbors.length == queries.length)
       } finally built.unpersist()
     }
+  }
+
+  /** `n` walks (`SeriesGen.seriesForId`, as in `df`) in exactly `m` input
+    * partitions, whatever the core count.
+    */
+  private def inputOf(m: Int): DataFrame = {
+    import spark.implicits._
+    val (l, s) = (len, seed)
+    spark.range(0, n, 1, m).map(id => (id, SeriesGen.seriesForId("walk", id, l, s))).toDF("id", "series")
+  }
+
+  /** Assert that `built` answers `queries` as brute force does, by `(id, dist2)`. */
+  private def assertBruteForce(built: Distributed.BuiltIndex, what: String): Unit = {
+    val (ids, data) = (Array.tabulate(n)(_.toLong), SeriesGen.dataset("walk", n, len, seed))
+    val res = Distributed.knnBatch(built, queries, knobs)
+    queries.indices.foreach { qi =>
+      val expect = BruteForce.knn(ids, data, queries(qi), k).map(nb => (nb.id, nb.dist2)).toSeq
+      assert(res.neighbors(qi).map(nb => (nb.id, nb.dist2)).toSeq == expect, s"$what q$qi")
+    }
+  }
+
+  test("a build reads whole input partitions in place when their count divides evenly: one stage") {
+    val input = inputOf(4)
+    for (p <- Seq(4, 2, 1)) {
+      val (built, stages) = jobStages(Distributed.build(input, "hercules", cfg, p))
+      try {
+        assert(stages == Seq(1), s"4 -> $p")
+        assert(built.partitions == p && built.rdd.getNumPartitions == p && built.totalSeries == n)
+        assert(built.rdd.map(_.nSeries).collect().toSeq == Seq.fill(p)(n.toLong / p), s"4 -> $p")
+        assertBruteForce(built, s"4 -> $p")
+      } finally built.unpersist()
+    }
+  }
+
+  test("a build deals the rows by a shuffle when the input's partitions do not divide evenly: two stages") {
+    for ((m, p) <- Seq(3 -> 2, 2 -> 4)) {
+      val (built, stages) = jobStages(Distributed.build(inputOf(m), "hercules", cfg, p))
+      try {
+        assert(stages == Seq(2), s"$m -> $p")
+        assert(built.partitions == p && built.rdd.getNumPartitions == p && built.totalSeries == n)
+        val sizes = built.rdd.map(_.nSeries).collect()
+        assert(sizes.length == p && sizes.sum == n)
+        if (m == 3) sizes.foreach(s => assert(math.abs(s - n / p) <= m, sizes.mkString(s"$m -> $p: ", ", ", "")))
+        assertBruteForce(built, s"$m -> $p")
+      } finally built.unpersist()
+    }
+  }
+
+  test("an input with no partitions builds the asked-for number of empty indexes") {
+    val schema = StructType(Seq(
+      StructField("id", LongType, nullable = false),
+      StructField("series", ArrayType(FloatType, containsNull = false), nullable = false)))
+    val empty = spark.createDataFrame(spark.sparkContext.emptyRDD[Row], schema)
+    assert(empty.rdd.getNumPartitions == 0)
+    val built = Distributed.build(empty, "hercules", cfg, 3)
+    try {
+      assert(built.partitions == 3 && built.rdd.getNumPartitions == 3)
+      assert(built.totalSeries == 0 && built.seriesLength == len)
+      val res = Distributed.knnBatch(built, queries, knobs)
+      assert(res.neighbors.length == queries.length && res.neighbors.forall(_.isEmpty))
+    } finally built.unpersist()
+  }
+
+  test("build rejects a partition count below 1") {
+    val e = intercept[IllegalArgumentException](Distributed.build(df, "hercules", cfg, 0))
+    assert(e.getMessage.contains("got 0"), e.getMessage)
   }
 
   test("knnBatch reports timing and access stats") {
