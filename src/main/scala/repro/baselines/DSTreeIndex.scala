@@ -15,9 +15,9 @@ final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
 
   def nSeries: Int = idx.nSeries
 
-  /** Exact k-NN (DSTree's search; one thread, reads `knobs.k` only). */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val refiner = new Refiner(idx, q, knobs.k, stats)
+  /** Exact k-NN (DSTree's search; one thread, reads no knob). */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
+    val refiner = new Refiner(idx, q, results, stats)
     def scanLeaf(leaf: Node): Unit = {
       refiner.scan(leaf.positions)
       stats.leavesVisited.incrementAndGet()
@@ -29,10 +29,10 @@ final class DSTreeIndex(val idx: HerculesIndex) extends KnnIndex {
     scanLeaf(home)
 
     // Exact traversal.
-    val pq = new EapcaQueue(qc, refiner.results)
+    val pq = new EapcaQueue(qc, results)
     pq.push(idx.root)
     pq.run { (leaf, _) => if (leaf ne home) scanLeaf(leaf); true }
-    refiner.results.toArray
+    results.toArray
   }
 }
 

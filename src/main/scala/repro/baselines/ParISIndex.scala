@@ -32,8 +32,8 @@ final class ParISIndex(
   /** Exact k-NN via parallel SIMS (summary scan + file-order refinement) on
     * `knobs.threads`.
     */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val refiner = new Refiner(this, q, knobs.k, stats)
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
+    val refiner = new Refiner(this, q, results, stats)
     val paaQ = isax.paa(q)
     val qWord = new Array[Byte](isax.segments)
     var i = 0
@@ -56,7 +56,7 @@ final class ParISIndex(
 
     // Refinement in file order (parallel chunks, shared BSF).
     refiner.refine(candidates.grouped(math.max(1, (candidates.length + t - 1) / t)).toVector)
-    refiner.results.toArray
+    results.toArray
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{FlatSeries, IndexConfig, KnnIndex, Neighbor, QueryKnobs, QueryStats, Refiner}
+import repro.core.{FlatSeries, IndexConfig, KnnIndex, KnnSet, Neighbor, QueryKnobs, QueryStats, Refiner}
 
 /** PSCAN — the paper's parallel UCR-suite variant (§2, §4.1): an optimized
   * sequential scan with squared distances and early abandoning, parallelized
@@ -11,10 +11,10 @@ final class Pscan(val len: Int, val lrd: Array[Float], val ids: Array[Long], val
     extends KnnIndex with FlatSeries {
 
   /** Exact k-NN by early-abandoning parallel scan on `knobs.threads`. */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val refiner = new Refiner(this, q, knobs.k, stats)
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
+    val refiner = new Refiner(this, q, results, stats)
     refiner.scan(FlatSeries.blocks(nSeries, 1024), knobs.threads)
-    refiner.results.toArray
+    results.toArray
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{FlatSeries, IndexConfig, KnnIndex, Neighbor, QueryKnobs, QueryStats, Refiner}
+import repro.core.{FlatSeries, IndexConfig, KnnIndex, KnnSet, Neighbor, QueryKnobs, QueryStats, Refiner}
 
 /** VA+file baseline (§2): a skip-sequential filter file over a 16-dimension
   * real-DFT transform of each series, with per-dimension equi-depth scalar
@@ -26,10 +26,10 @@ final class VAFile(
   import VAFile.Dims
 
   /** Exact k-NN: seed BSF, then filter + refine skip-sequentially (one
-    * thread, reads `knobs.k` only).
+    * thread, reads no knob).
     */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    val refiner = new Refiner(this, q, knobs.k, stats)
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
+    val refiner = new Refiner(this, q, results, stats)
     val qf = VAFile.transform(q)
     val seed = math.min(256, nSeries)
     refiner.scan(0 until seed)
@@ -48,7 +48,7 @@ final class VAFile(
       }
       lb2
     })
-    refiner.results.toArray
+    results.toArray
   }
 }
 

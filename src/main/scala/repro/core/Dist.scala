@@ -15,9 +15,6 @@ package repro.core
   */
 object Dist {
 
-  /** Squared Euclidean distance between two series: [[ed2Flat]] with no bound. */
-  def ed2(a: Array[Float], b: Array[Float]): Double = ed2Flat(a, b, 0, Double.PositiveInfinity)
-
   /** The query of [[ed2Flat]]: `q`'s points as doubles. */
   def widen(q: Array[Float]): Array[Double] = {
     val out = new Array[Double](q.length)

@@ -19,11 +19,13 @@ import scala.collection.mutable.ArrayBuffer
   */
 object ExactKnn {
 
-  /** Exact k-NN of `q` over `idx` under `knobs`; fills `stats`. */
-  def search(idx: HerculesIndex, q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
+  /** Exact k-NN of `q` over `idx` under `knobs` into `results`; fills
+    * `stats`.
+    */
+  def search(idx: HerculesIndex, q: Array[Float], knobs: QueryKnobs, stats: QueryStats,
+             results: KnnSet): Array[Neighbor] = {
     require(q.length == idx.cfg.seriesLength)
-    val refiner = new Refiner(idx, q, knobs.k, stats)
-    val results = refiner.results
+    val refiner = new Refiner(idx, q, results, stats)
     val pq = new EapcaQueue(new SeriesCtx(q), results)
     pq.push(idx.root)
 

@@ -31,17 +31,20 @@ object FlatSeries {
   * `stats.seriesAccessed`. Every operation reads the BSF with `results.bsf`
   * and inserts with `results.add` on any number of threads: the
   * [[KnnSet]] is the one shared BSF, lock-free to read.
+  *
+  * The caller owns `results`. It may already hold answers from elsewhere,
+  * such as another partition's series for the same query, and others may
+  * insert into it meanwhile: its BSF is then the kth distance of k real
+  * series, never below the kth distance over all of them, so every pruning
+  * test stays exact.
   */
-final class Refiner(data: FlatSeries, q: Array[Float], k: Int, stats: QueryStats) {
+final class Refiner(data: FlatSeries, q: Array[Float], results: KnnSet, stats: QueryStats) {
   import Refiner.{Candidates, admits}
 
   private val len = data.len
   private val lrd = data.lrd
   private val ids = data.ids
   private val qd = Dist.widen(q)
-
-  /** The answers so far. */
-  val results = new KnnSet(k)
 
   /** Range scan: the real distance of every series of `range`, in order,
     * with no lower-bound test. With `at`, the range holds indices into `at`,

@@ -26,8 +26,8 @@ final class HerculesIndex(
   def totalLeaves: Int = leaves.length
 
   /** Exact k-NN (Algorithm 10). */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    ExactKnn.search(this, q, knobs, stats)
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] =
+    ExactKnn.search(this, q, knobs, stats, results)
 }
 
 object HerculesIndex {

@@ -9,6 +9,15 @@ trait KnnIndex extends Serializable {
   /** Series indexed. */
   def nSeries: Int
 
-  /** Exact k-NN of `q`; `stats` accumulates access counters. */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats = new QueryStats): Array[Neighbor]
+  /** Exact k-NN of `q` into `results`, a set of `knobs.k` answers that may
+    * already hold, or meanwhile gain, answers for `q` from elsewhere;
+    * returns its contents. On return no series of this index would enter
+    * `results`: each one that ranks among its k best is in it. `stats`
+    * accumulates access counters.
+    */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor]
+
+  /** Exact k-NN of `q` into a fresh result set. */
+  final def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats = new QueryStats): Array[Neighbor] =
+    knn(q, knobs, stats, new KnnSet(knobs.k))
 }

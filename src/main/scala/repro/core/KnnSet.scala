@@ -6,7 +6,8 @@ package repro.core
 final case class Neighbor(id: Long, dist2: Double)
 
 /** Bounded best-so-far set for k-NN (the paper's `Results` array), safe to
-  * share between query workers.
+  * share between query workers: the threads of one query, and the
+  * partitions of one query that a `knnBatch` call runs on one executor.
   *
   * Keeps the k smallest (dist², id) pairs in sorted order; `bsf` is the kth
   * distance (+∞ until k answers exist). Ties break on id so all methods and

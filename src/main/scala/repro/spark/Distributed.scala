@@ -2,19 +2,25 @@ package repro.spark
 
 import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
 import java.nio.file.{Files, Paths}
+import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{IndexConfig, KnnSet, Neighbor, Par, QueryKnobs, QueryStats}
 
 /** Distributed build + query answering: one [[LocalIndex]] per partition via
-  * `mapPartitions`, query batches carried in the task closure, and an exact
-  * driver-side top-k merge (k-NN under a partition of the dataset is the k
-  * smallest of the per-partition k smallest). A build and a query batch are
-  * one Spark job each. The index RDD is locally checkpointed, so it has no
-  * lineage: a lost partition fails the query instead of being rebuilt.
+  * `mapPartitions`, query batches carried in the task closure, one result
+  * set per query shared by the partitions on an executor
+  * ([[ResultRegistry]]), and an exact driver-side top-k merge (k-NN under a
+  * partition of the dataset is the k smallest of the per-partition k
+  * smallest). A build and a query batch are one Spark job each. The index
+  * RDD is locally checkpointed, so it has no lineage: a lost partition fails
+  * the query instead of being rebuilt.
   */
 object Distributed {
+
+  /** The id of the next [[knnBatch]] call, which keys its result sets. */
+  private val nextCall = new AtomicLong
 
   /** A built per-partition index collection plus build-time measurements;
     * `buildWallMs` times the one job that built (or loaded) the partitions;
@@ -35,10 +41,14 @@ object Distributed {
   /** Results of a query batch: merged exact answers, wall/per-query times,
     * and per-query merged access counters.
     *
-    * @param wallMs      wall time of the batch's one job, submit to collect
-    * @param perQueryMs  per query, the longest of its partitions' in-task
-    *                    times; each is that query's own wall time, which
-    *                    other queries of the batch may overlap
+    * @param wallMs        wall time of the batch's one job, submit to collect
+    * @param perQueryMs    per query, the longest of its partitions' in-task
+    *                      times; each is that query's own wall time, which
+    *                      other queries of the batch may overlap
+    * @param perQueryStats per query, the sum of its partitions' counters. On
+    *                      more than 1 partition they depend on timing: each
+    *                      partition prunes against what the partitions
+    *                      sharing its result set have found so far
     */
   final case class QueryBatchResult(
       neighbors: Array[Array[Neighbor]],
@@ -125,18 +135,25 @@ object Distributed {
     math.max(1, parallelism / (partitions * threads))
 
   /** Answer a batch of queries exactly in one job, the batch travelling in
-    * the task closure; merge per-partition top-k. Each partition's task
-    * answers [[queriesAtOnce]] queries concurrently, one `QueryStats` and
-    * result set per query, so answers and counters do not depend on how
-    * many run at once. Rejects, before any task is sent,
-    * a query of another length or with a NaN or infinite point, naming its
+    * the task closure; merge the partitions' top-k. Each partition's task
+    * answers [[queriesAtOnce]] queries concurrently, one `QueryStats` per
+    * query. Each query has one result set per executor, which every
+    * partition of the call there fills and prunes against
+    * ([[ResultRegistry]]); a task returns that set's contents when its
+    * partition is done, and the merge drops the answers that several tasks
+    * return. Within one partition, answers and counters do not depend on
+    * how many queries run at once. Rejects, before any task is sent, a
+    * query of another length or with a NaN or infinite point, naming its
     * index in `queries`.
     */
   def knnBatch(built: BuiltIndex, queries: Array[Array[Float]], knobs: QueryKnobs): QueryBatchResult = {
     queries.indices.foreach(qi => LocalIndex.checkQuery(queries(qi), built.seriesLength, s"query $qi"))
     val atOnce = queriesAtOnce(built.rdd.sparkContext.defaultParallelism, built.partitions, knobs.threads)
+    val call = nextCall.getAndIncrement()
     val t0 = System.nanoTime()
     val partResults = built.rdd.map { idx =>
+      // On the task's thread: the Par workers below have no TaskContext.
+      val sets = ResultRegistry.acquire(call, queries.length, knobs.k)
       val res = new Array[Array[Neighbor]](queries.length)
       val stats = Array.fill(queries.length)(new QueryStats)
       val times = new Array[Double](queries.length)
@@ -144,7 +161,7 @@ object Distributed {
       // Par.run joins its workers, so every slot is written on return.
       Par.claim(Seq(atOnce, onExecutor, queries.length).min, queries.length) { (_, qi) =>
         val q0 = System.nanoTime()
-        res(qi) = idx.knn(queries(qi), knobs, stats(qi))
+        res(qi) = idx.knn(queries(qi), knobs, stats(qi), sets(qi))
         times(qi) = (System.nanoTime() - q0) / 1e6
       }
       (res, stats, times)
@@ -164,16 +181,6 @@ object Distributed {
       s
     }
     QueryBatchResult(merged, wallMs, perQueryMs, perQueryStats, built.totalSeries)
-  }
-
-  /** Flatten merged answers into a `(qid, sid, dist)` DataFrame for the
-    * DuckDB oracle (dist is the non-squared Euclidean distance).
-    */
-  def resultsToDF(spark: SparkSession, result: QueryBatchResult): DataFrame = {
-    import spark.implicits._
-    result.neighbors.zipWithIndex.flatMap { case (nbs, qi) =>
-      nbs.map(nb => (qi.toLong, nb.id, math.sqrt(nb.dist2)))
-    }.toSeq.toDF("qid", "sid", "dist")
   }
 
   /** Persist each partition's index as one serialized file under `dir`.

@@ -6,8 +6,9 @@ import repro.core._
 
 /** One partition's self-contained similarity-search structure — the unit the
   * paper's single-node methods map onto under the per-partition Spark design
-  * (DESIGN.md §2). `index.knn` is exact within the partition, so the
-  * driver-side top-k merge is exact globally.
+  * (DESIGN.md §2). `index.knn` leaves in its result set every series of
+  * the partition that ranks among the set's k best, so the driver-side
+  * top-k merge is exact globally, whether or not partitions share the set.
   *
   * @param method       the name `index` was built under (a key of [[LocalIndex.builders]])
   * @param buildMs      wall-clock build time of this partition's structure, in ms
@@ -17,13 +18,19 @@ final case class LocalIndex(method: String, index: KnnIndex, buildMs: Double, se
   /** Series indexed in this partition. */
   def nSeries: Long = index.nSeries
 
-  /** Exact within-partition k-NN; `stats` accumulates access counters.
-    * Rejects a query of another length or with a NaN or infinite point.
+  /** Exact within-partition k-NN into `results` ([[KnnIndex.knn]]), which
+    * may be shared with other partitions answering the same query; `stats`
+    * accumulates access counters. Rejects a query of another length or
+    * with a NaN or infinite point.
     */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
     LocalIndex.checkQuery(q, seriesLength, "query")
-    index.knn(q, knobs, stats)
+    index.knn(q, knobs, stats, results)
   }
+
+  /** Exact within-partition k-NN into a fresh result set. */
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
+    knn(q, knobs, stats, new KnnSet(knobs.k))
 }
 
 object LocalIndex {

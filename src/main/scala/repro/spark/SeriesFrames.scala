@@ -19,15 +19,4 @@ object SeriesFrames {
     val s = seed
     spark.range(n).map(id => (id, SeriesGen.seriesForId(k, id, l, s))).toDF("id", "series")
   }
-
-  /** Long (exploded) view `(id, pos, val)` of a series DataFrame — the shape
-    * the DuckDB oracle consumes.
-    */
-  def explode(df: DataFrame): DataFrame = {
-    import org.apache.spark.sql.functions._
-    // Cast points to double so their string form round-trips exactly through
-    // the oracle's VARCHAR staging (Float.toString would re-parse inexactly).
-    df.select(col("id"), posexplode(col("series")).as(Seq("pos", "val")))
-      .withColumn("val", col("val").cast("double"))
-  }
 }

@@ -1,8 +1,8 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import repro.spark.Distributed.QueryBatchResult
 
 /** DuckDB correctness oracle.
   *
@@ -16,6 +16,27 @@ import scala.jdk.CollectionConverters._
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
+
+  /** Long (exploded) view `(id, pos, val)` of a series DataFrame — the shape
+    * the oracle's SQL consumes.
+    */
+  def explode(df: DataFrame): DataFrame = {
+    import org.apache.spark.sql.functions._
+    // Cast points to double so their string form round-trips exactly through
+    // the oracle's VARCHAR staging (Float.toString would re-parse inexactly).
+    df.select(col("id"), posexplode(col("series")).as(Seq("pos", "val")))
+      .withColumn("val", col("val").cast("double"))
+  }
+
+  /** Flatten merged answers into a `(qid, sid, dist)` DataFrame (dist is the
+    * non-squared Euclidean distance).
+    */
+  def resultsToDF(spark: SparkSession, result: QueryBatchResult): DataFrame = {
+    import spark.implicits._
+    result.neighbors.zipWithIndex.flatMap { case (nbs, qi) =>
+      nbs.map(nb => (qi.toLong, nb.id, math.sqrt(nb.dist2)))
+    }.toSeq.toDF("qid", "sid", "dist")
+  }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted

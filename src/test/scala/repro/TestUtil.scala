@@ -9,6 +9,11 @@ import repro.baselines.BruteForce
   */
 object TestUtil {
 
+  /** Squared Euclidean distance between two series: `Dist.ed2Flat` with no
+    * bound.
+    */
+  def ed2(a: Array[Float], b: Array[Float]): Double = Dist.ed2Flat(a, b, 0, Double.PositiveInfinity)
+
   /** Small index config for unit tests. */
   def cfg(len: Int, leaf: Int = 16, threads: Int = 1): IndexConfig =
     IndexConfig(seriesLength = len, leafCapacity = leaf, buildThreads = threads,

@@ -106,7 +106,7 @@ class BaselinesSpec extends AnyFunSuite {
     data.foreach { s =>
       val sf = VAFile.transform(s)
       val featDist = qf.zip(sf).map { case (a, b) => (a - b) * (a - b) }.sum
-      assert(featDist <= Dist.ed2(q, s) + 1e-6)
+      assert(featDist <= TestUtil.ed2(q, s) + 1e-6)
     }
   }
 

@@ -2,19 +2,20 @@ package repro.core
 
 import java.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 
 /** Distance kernels: exactness and early-abandon semantics. */
 class DistSpec extends AnyFunSuite {
 
   test("ed2 of identical series is zero") {
     val s = SeriesGen.dataset("walk", 1, 32, 1)(0)
-    assert(Dist.ed2(s, s) == 0.0)
+    assert(TestUtil.ed2(s, s) == 0.0)
   }
 
   test("ed2 matches the naive definition") {
     val a = Array(1f, 2f, 3f)
     val b = Array(2f, 0f, 5f)
-    assert(math.abs(Dist.ed2(a, b) - (1 + 4 + 4)) < 1e-12)
+    assert(math.abs(TestUtil.ed2(a, b) - (1 + 4 + 4)) < 1e-12)
   }
 
   for (seed <- 1 to 6)
@@ -22,7 +23,7 @@ class DistSpec extends AnyFunSuite {
       val rng = new Random(100 + seed)
       val a = Array.fill(64)(rng.nextFloat() * 10)
       val b = Array.fill(64)(-rng.nextFloat() * 10)
-      val full = Dist.ed2(a, b)
+      val full = TestUtil.ed2(a, b)
       val bound = full / 4
       val r = Dist.ed2Flat(a, b, 0, bound)
       assert(r > bound && r < full, s"$r should abandon early, past $bound but short of $full")
@@ -35,7 +36,7 @@ class DistSpec extends AnyFunSuite {
       data.zipWithIndex.foreach { case (s, i) => System.arraycopy(s, 0, flat, i * 24, 24) }
       val q = SeriesGen.dataset("walk", 1, 24, seed + 50)(0)
       data.zipWithIndex.foreach { case (s, i) =>
-        assert(Dist.ed2Flat(q, flat, i * 24, Double.PositiveInfinity) == Dist.ed2(q, s))
+        assert(Dist.ed2Flat(q, flat, i * 24, Double.PositiveInfinity) == TestUtil.ed2(q, s))
       }
     }
 
@@ -63,7 +64,7 @@ class DistSpec extends AnyFunSuite {
       val rng = new Random(1000 + len)
       val q = Array.fill(len)(rng.nextGaussian().toFloat)
       val s = Array.fill(len)(rng.nextGaussian().toFloat)
-      val full = Dist.ed2(q, s)
+      val full = TestUtil.ed2(q, s)
       val below = Seq(0.0, full / 16, full / 2, math.nextDown(full))
       val above = Seq(full, math.nextUp(full), full * 2, Double.PositiveInfinity)
       below.foreach(b => assert(Dist.ed2Flat(q, s, 0, b) > b, s"bound $b"))
@@ -91,7 +92,7 @@ class DistSpec extends AnyFunSuite {
       val qd = Dist.widen(q)
       val flat = Array.fill(4 * len)(rng.nextGaussian().toFloat * 2)
       for (off <- 0 to 3 * len) {
-        val full = Dist.ed2(q, flat.slice(off, off + len))
+        val full = TestUtil.ed2(q, flat.slice(off, off + len))
         val bounds = Seq(0.0, full / 2, math.nextDown(full), full, math.nextUp(full), Double.PositiveInfinity)
         bounds.foreach { b =>
           val wide = Dist.ed2Flat(qd, flat, off, b)
@@ -111,7 +112,7 @@ class DistSpec extends AnyFunSuite {
       for (k <- Seq(1, 10)) {
         val q = if (k == 1) data(3) else Array.fill(len)(rng.nextGaussian().toFloat)
         val want = new KnnSet(k)
-        data.indices.foreach(i => want.add(Dist.ed2(q, data(i)), ids(i)))
+        data.indices.foreach(i => want.add(TestUtil.ed2(q, data(i)), ids(i)))
         val got = repro.baselines.BruteForce.knn(ids, data, q, k)
         assert(got.toSeq == want.toArray.toSeq, s"len $len k $k")
       }

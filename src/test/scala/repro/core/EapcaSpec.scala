@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 
 /** LB_EAPCA: validity against node synopses of arbitrary segmentations. */
 class EapcaSpec extends AnyFunSuite {
@@ -30,7 +31,7 @@ class EapcaSpec extends AnyFunSuite {
       val q = SeriesGen.dataset("walk", 1, 32, seed + 77)(0)
       val lb2 = Eapca.lb2(new SeriesCtx(q), n)
       data.foreach { s =>
-        val d = Dist.ed2(q, s)
+        val d = TestUtil.ed2(q, s)
         assert(lb2 <= d + 1e-6, s"lb2=$lb2 > ed2=$d")
       }
     }

@@ -67,13 +67,13 @@ class ISaxSpec extends AnyFunSuite {
       val paaQ = isax.paa(q)
       data.foreach { s =>
         val lb = isax.lbSax2(paaQ, isax.word(s), 0)
-        val d = Dist.ed2(q, s)
+        val d = TestUtil.ed2(q, s)
         assert(lb <= d + 1e-6, s"lb=$lb > ed2=$d")
       }
       // also for non-walk shapes
       val g = Array.fill(64)((rng.nextGaussian()).toFloat)
       val lb = isax.lbSax2(paaQ, isax.word(g), 0)
-      assert(lb <= Dist.ed2(q, g) + 1e-6)
+      assert(lb <= TestUtil.ed2(q, g) + 1e-6)
     }
 
   for (len <- Seq(17, 33, 96))
@@ -83,7 +83,7 @@ class ISaxSpec extends AnyFunSuite {
       val q = SeriesGen.dataset("deep", 1, len, len + 5)(0)
       val paaQ = s.paa(q)
       data.foreach { x =>
-        assert(s.lbSax2(paaQ, s.word(x), 0) <= Dist.ed2(q, x) + 1e-6)
+        assert(s.lbSax2(paaQ, s.word(x), 0) <= TestUtil.ed2(q, x) + 1e-6)
       }
     }
 
@@ -95,7 +95,7 @@ class ISaxSpec extends AnyFunSuite {
     data.foreach { x =>
       val lbC = coarse.lbSax2(coarse.paa(q), coarse.word(x), 0)
       val lbF = fine.lbSax2(fine.paa(q), fine.word(x), 0)
-      val d = Dist.ed2(q, x)
+      val d = TestUtil.ed2(q, x)
       assert(lbC <= d + 1e-6 && lbF <= d + 1e-6)
       assert(lbC <= lbF + 1e-6) // finer alphabet can only tighten
     }

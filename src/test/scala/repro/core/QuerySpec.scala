@@ -118,26 +118,27 @@ class QuerySpec extends AnyFunSuite {
     * of that heap: step 2's leaves and bounds, in LRDFile order.
     */
   private def heapDrain(idx: HerculesIndex, q: Array[Float], k: Int, lmax: Int): Seq[(Node, Double)] = {
-    val refiner = new Refiner(idx, q, k, new QueryStats)
+    val results = new KnnSet(k)
+    val refiner = new Refiner(idx, q, results, new QueryStats)
     val qc = new SeriesCtx(q)
     val heap = new java.util.PriorityQueue[(Node, Double)](64,
       (a: (Node, Double), b: (Node, Double)) => java.lang.Double.compare(a._2, b._2))
     def push(n: Node): Unit = {
       val lb2 = Eapca.lb2(qc, n)
-      if (lb2 <= refiner.results.bsf) heap.add((n, lb2))
+      if (lb2 <= results.bsf) heap.add((n, lb2))
     }
     push(idx.root)
     var visited = 0
     while (visited < lmax && !heap.isEmpty) {
       val (n, lb2) = heap.poll()
-      if (lb2 > refiner.results.bsf) heap.clear()
+      if (lb2 > results.bsf) heap.clear()
       else if (n.isLeaf) { refiner.scan(n.positions); visited += 1 }
       else { push(n.left); push(n.right) }
     }
     val out = Seq.newBuilder[(Node, Double)]
     while (!heap.isEmpty) {
       val (n, lb2) = heap.poll()
-      if (lb2 > refiner.results.bsf) heap.clear()
+      if (lb2 > results.bsf) heap.clear()
       else if (n.isLeaf) out += ((n, lb2))
       else { push(n.left); push(n.right) }
     }
@@ -146,8 +147,9 @@ class QuerySpec extends AnyFunSuite {
 
   /** Step 1 as [[ExactKnn.search]] runs it, then [[EapcaQueue.collect]]. */
   private def collected(idx: HerculesIndex, q: Array[Float], k: Int, lmax: Int): Seq[(Node, Double)] = {
-    val refiner = new Refiner(idx, q, k, new QueryStats)
-    val pq = new EapcaQueue(new SeriesCtx(q), refiner.results)
+    val results = new KnnSet(k)
+    val refiner = new Refiner(idx, q, results, new QueryStats)
+    val pq = new EapcaQueue(new SeriesCtx(q), results)
     pq.push(idx.root)
     var visited = 0
     pq.run { (leaf, _) => refiner.scan(leaf.positions); visited += 1; visited < lmax }

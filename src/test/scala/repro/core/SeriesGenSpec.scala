@@ -50,7 +50,7 @@ class SeriesGenSpec extends AnyFunSuite {
       val qs = SeriesGen.queries("walk", wl, 5, n, 64, 9)
       val data = SeriesGen.dataset("walk", n, 64, 9)
       qs.foreach { q =>
-        val best = data.map(s => Dist.ed2(q, s)).min
+        val best = data.map(s => TestUtil.ed2(q, s)).min
         // a sigma^2-perturbed z-normed series stays near its source
         assert(best < 64 * 1.5, s"query too far from every source: $best")
         val (m, sd) = TestUtil.meanSd(q, 0, 64)
@@ -63,7 +63,7 @@ class SeriesGenSpec extends AnyFunSuite {
     val data = SeriesGen.dataset("walk", n, 64, 13)
     def avgBest(wl: String): Double = {
       val qs = SeriesGen.queries("walk", wl, 10, n, 64, 13)
-      qs.map(q => data.map(s => Dist.ed2(q, s)).min).sum / qs.length
+      qs.map(q => data.map(s => TestUtil.ed2(q, s)).min).sum / qs.length
     }
     assert(avgBest("1%") < avgBest("10%"))
   }

@@ -12,14 +12,16 @@ import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.BruteForce
-import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, QueryStats, SeriesGen}
+import repro.core.{HerculesIndex, IndexConfig, KnnIndex, KnnSet, Neighbor, QueryKnobs, QueryStats, SeriesGen}
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
   * counts must not change answers, save/load must round-trip for every
   * method, and a build and a query batch must each be one Spark job. A
   * build reads its input partitions in place when their count is a
-  * multiple of the index's, and deals the rows by a shuffle otherwise.
+  * multiple of the index's, and deals the rows by a shuffle otherwise. The
+  * result sets that a call's partitions share are gone once it returns,
+  * whether its tasks succeeded or failed.
   */
 class DistributedSpec extends SparkSpec {
 
@@ -59,9 +61,9 @@ class DistributedSpec extends SparkSpec {
       val built = Distributed.build(df, method, cfg, Runner.partitions(method))
       try {
         val res = Distributed.knnBatch(built, queries, knobs)
-        val out = Distributed.resultsToDF(spark, res)
+        val out = Oracle.resultsToDF(spark, res)
         Oracle.assertEquivalent(out, oracleSql(k),
-          "data" -> SeriesFrames.explode(df), "query" -> queryDF)
+          "data" -> Oracle.explode(df), "query" -> queryDF)
       } finally built.unpersist()
     }
 
@@ -72,6 +74,15 @@ class DistributedSpec extends SparkSpec {
     }
   }
 
+  /** [[Distributed.knnBatch]], then a check that the call left no result
+    * sets in the registry.
+    */
+  private def knnBatch(built: Distributed.BuiltIndex, qs: Array[Array[Float]], kn: QueryKnobs) = {
+    val res = Distributed.knnBatch(built, qs, kn)
+    assert(ResultRegistry.size == 0, "result sets outlived their call")
+    res
+  }
+
   test("more partitions than rows: every method is exact with empty partitions") {
     val tiny = SeriesFrames.dataset(spark, "walk", 5, len, seed)
     val (ids, data) = (Array.tabulate(5)(_.toLong), SeriesGen.dataset("walk", 5, len, seed))
@@ -80,7 +91,7 @@ class DistributedSpec extends SparkSpec {
       try {
         assert(built.totalSeries == 5)
         for (kk <- Seq(3, 10)) {
-          val res = Distributed.knnBatch(built, queries, knobs.copy(k = kk))
+          val res = knnBatch(built, queries, knobs.copy(k = kk))
           queries.indices.foreach { qi =>
             val expect = BruteForce.knn(ids, data, queries(qi), kk).map(nb => (nb.id, nb.dist2)).toSeq
             assert(res.neighbors(qi).map(nb => (nb.id, nb.dist2)).toSeq == expect, s"$method k=$kk q$qi")
@@ -88,6 +99,44 @@ class DistributedSpec extends SparkSpec {
         }
       } finally built.unpersist()
     }
+  }
+
+  test("every method at 1, 2, 4 and 8 partitions sharing result sets equals brute force") {
+    val (ids, data) = (Array.tabulate(n)(_.toLong), SeriesGen.dataset("walk", n, len, seed))
+    val qs = SeriesGen.queries("walk", "5%", 6, n, len, seed) ++
+      SeriesGen.queries("walk", "ood", 3, n, len, seed + 2) ++ Seq(data(17), data(250))
+    for (method <- LocalIndex.builders.keys; p <- Seq(1, 2, 4, 8)) {
+      val built = Distributed.build(df, method, cfg, p)
+      try {
+        for (kk <- Seq(1, 5)) {
+          val res = knnBatch(built, qs, knobs.copy(k = kk))
+          qs.indices.foreach { qi =>
+            val expect = BruteForce.knn(ids, data, qs(qi), kk).map(nb => (nb.id, nb.dist2)).toSeq
+            assert(res.neighbors(qi).map(nb => (nb.id, nb.dist2)).toSeq == expect, s"$method p=$p k=$kk q$qi")
+          }
+        }
+      } finally built.unpersist()
+    }
+  }
+
+  test("a call whose tasks throw leaves no result sets in the registry") {
+    val good = LocalIndex.build("pscan", Array.tabulate(n)(_.toLong), SeriesGen.dataset("walk", n, len, seed), cfg)
+    val failing = LocalIndex("failing", DistributedSpec.Failing, 0.0, len)
+    for (parts <- Seq(Seq(failing), Seq(good, failing, good, failing))) {
+      val rdd = spark.sparkContext.parallelize(parts, parts.length)
+      val built = Distributed.BuiltIndex(rdd, 0.0, parts.length, parts.map(_.nSeries).sum, 0.0, len)
+      // The executor logs each failed task's stack trace at ERROR; these are meant.
+      spark.sparkContext.setLogLevel("OFF")
+      val e = try intercept[org.apache.spark.SparkException](Distributed.knnBatch(built, queries, knobs))
+        finally spark.sparkContext.setLogLevel("WARN")
+      assert(e.getMessage.contains(DistributedSpec.Failing.message), e.getMessage)
+      // A failed job returns once one task fails; the others end on their own.
+      if (parts.length == 1) assert(ResultRegistry.size == 0)
+      else eventually(timeout(30.seconds), interval(10.millis))(assert(ResultRegistry.size == 0))
+    }
+    val res = knnBatch(Distributed.BuiltIndex(spark.sparkContext.parallelize(Seq(good), 1), 0.0, 1, n, 0.0, len),
+      queries, knobs)
+    assert(res.neighbors.forall(_.length == k))
   }
 
   test("answers are identical for 1, 2 and 5 partitions") {
@@ -362,9 +411,19 @@ class DistributedSpec extends SparkSpec {
     val built = Distributed.build(df, "hercules", cfg, 4)
     try {
       val res = Distributed.knnBatch(built, oodQ, knobs.copy(k = 10))
-      val out = Distributed.resultsToDF(spark, res)
+      val out = Oracle.resultsToDF(spark, res)
       Oracle.assertEquivalent(out, oracleSql(10),
-        "data" -> SeriesFrames.explode(df), "query" -> oodQDF)
+        "data" -> Oracle.explode(df), "query" -> oodQDF)
     } finally built.unpersist()
+  }
+}
+
+object DistributedSpec {
+  /** A partition index whose every query throws. */
+  object Failing extends KnnIndex {
+    val message = "this partition fails every query"
+    def nSeries: Int = 0
+    def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] =
+      throw new IllegalStateException(message)
   }
 }
