@@ -5,23 +5,21 @@ import repro.experiments.Runner
 import repro.spark.Distributed
 
 /** Stage 2 of the paper's pipeline: load a saved per-partition index and
-  * answer a k-NN workload.
+  * answer a k-NN workload drawn for its series count and length.
   *
-  * Usage: QueryJob <indexDir> [kind] [nSeries] [len] [workload] [k] [nQ]
+  * Usage: QueryJob <indexDir> [kind] [workload] [k] [nQ]
   */
 object QueryJob {
   def main(args: Array[String]): Unit = {
     val dir = args.headOption.getOrElse("/tmp/hercules-index")
     val kind = args.lift(1).getOrElse("walk")
-    val nSeries = args.lift(2).map(_.toLong).getOrElse(32000L)
-    val len = args.lift(3).map(_.toInt).getOrElse(256)
-    val workload = args.lift(4).getOrElse("5%")
-    val k = args.lift(5).map(_.toInt).getOrElse(1)
-    val nQ = args.lift(6).map(_.toInt).getOrElse(10)
+    val workload = args.lift(2).getOrElse("5%")
+    val k = args.lift(3).map(_.toInt).getOrElse(1)
+    val nQ = args.lift(4).map(_.toInt).getOrElse(10)
     val spark = JobUtil.session("hercules-query")
     try {
       val built = Distributed.loadFromDir(spark, dir)
-      val queries = SeriesGen.queries(kind, workload, nQ, nSeries, len, 20220601L)
+      val queries = SeriesGen.queries(kind, workload, nQ, built.totalSeries, built.seriesLength, 20220601L)
       // One whole-index Lmax of 8, shared across the partitions.
       val res = Distributed.knnBatch(built, queries, Runner.scaleKnobs(Runner.knobs(k), built.partitions))
       println(f"answered $nQ $workload ${k}NN queries: avg ${res.avgQueryMs}%.2f ms/query, " +

@@ -54,17 +54,16 @@ object ExactKnn {
     }
 
     // ---- Step 3: FindCandidateSeries (Algorithm 13) ----
-    val threads = math.max(1, knobs.threads)
     val ranges = lcSorted.map(_._1.positions)
     val locals =
       if (!knobs.useSax || idx.lsd == null) {
         // NoSAX ablation: every series of every candidate leaf goes straight
         // to refinement, carrying its leaf's EAPCA bound.
-        refiner.filter(ranges, threads)((r, _) => lcSorted(r)._2)
+        refiner.filter(ranges, knobs.threads)((r, _) => lcSorted(r)._2)
       } else {
         val table = idx.isax.queryTable(idx.isax.paa(q))
         val segs = idx.isax.segments
-        val found = refiner.filter(ranges, threads)((_, i) => table.lb2(idx.lsd, i * segs))
+        val found = refiner.filter(ranges, knobs.threads)((_, i) => table.lb2(idx.lsd, i * segs))
         stats.saxChecked.addAndGet(ranges.iterator.map(_.length.toLong).sum)
         val scCount = found.iterator.map(_.size.toLong).sum
         stats.candidateSeries = scCount

@@ -34,6 +34,8 @@ final case class IndexConfig(
   require(seriesLength > 0, "seriesLength must be positive")
   require(leafCapacity >= 2, "leafCapacity must be at least 2")
   require(Integer.bitCount(saxCardinality) == 1, "saxCardinality must be a power of two")
+  require(buildThreads >= 1 && writerThreads >= 1 && dbSize >= 1, "thread counts and dbSize must be positive")
+  require(hbufferSlots >= 0, "hbufferSlots must not be negative")
 
   /** Effective SAX segment count: never more segments than points. */
   def saxSegmentsEff: Int = math.min(saxSegments, seriesLength)

@@ -40,7 +40,7 @@ object IndexWriter {
     val hercules = tree.mode == BuildMode.Hercules
     val lsd = if (hercules) new Array[Byte](n * isax.segments) else null
 
-    try Par.claim(math.max(1, threads), leaves.length) { (_, j) =>
+    try Par.claim(threads, leaves.length) { (_, j) =>
       processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, hercules)
     } finally store.close()
 

@@ -58,9 +58,9 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     require(ids.length == data.length)
     val n = data.length
     val tree = new HerculesTree(cfg, mode)
-    val workers = math.max(1, cfg.buildThreads)
+    val workers = cfg.buildThreads
     val flushAt = (workers + 1) / 2
-    val dbSize = math.max(1, math.min(cfg.dbSize, math.max(1, n)))
+    val dbSize = math.min(cfg.dbSize, math.max(1, n))
     val totalSlots = if (cfg.hbufferSlots > 0) cfg.hbufferSlots else n + dbSize
     val store = SeriesStore.create(cfg.seriesLength, workers, totalSlots, dbSize)
 

@@ -31,3 +31,20 @@ object BenchRow {
     sb.toString
   }
 }
+
+/** One table of a reproduced figure: its title, its rows and the paper's
+  * shape claims on them.
+  */
+final case class FigureTable(title: String, rows: Seq[BenchRow], claims: Seq[Claim]) {
+
+  /** The value of the row at `(config, method, metric)`; throws if there is none. */
+  def apply(config: String, method: String, metric: String): Double =
+    rows.find(r => r.config == config && r.method == method && r.metric == metric).map(_.value)
+      .getOrElse(throw new NoSuchElementException(s"$title has no row $config/$method/$metric"))
+}
+
+/** A shape claim of the paper, as a test over a table's values; it throws
+  * if it names a row that the table does not have. Claims only warn:
+  * absolute hardware differs, and EXPERIMENTS.md records both sides.
+  */
+final case class Claim(text: String, holds: FigureTable => Boolean)

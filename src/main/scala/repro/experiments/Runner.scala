@@ -86,31 +86,33 @@ object Runner {
       each.map(_.perQueryStats(0)), built.totalSeries)
   }
 
-  /** Run several methods over the same dataset/queries and verify agreement. */
-  def runAll(df: DataFrame, methods: Seq[String], cfg: IndexConfig,
-             queries: Array[Array[Float]], qk: QueryKnobs): Seq[MethodRun] =
-    runSweep(df, methods, cfg, Seq(("", queries, qk))).map(_._2)
+  /** Untimed: answer `queries` on `built` in one batch call, so that JIT
+    * compilation does not bias the first timed query.
+    */
+  def warmUp(built: Distributed.BuiltIndex, queries: Array[Array[Float]], qk: QueryKnobs): Unit =
+    Distributed.knnBatch(built, queries, scaleKnobs(qk, built.partitions))
 
-  /** Build each method once, answer every workload of the sweep against the
-    * cached index one query at a time, and verify cross-method agreement
-    * per workload label.
+  /** `method`'s run on `built`: `queries` answered [[oneAtATime]] with `qk`
+    * scaled to the index's partitions, and the slowest partition's build time.
+    */
+  def answer(method: String, built: Distributed.BuiltIndex, queries: Array[Array[Float]],
+             qk: QueryKnobs): MethodRun = {
+    val res = oneAtATime(built, queries, scaleKnobs(qk, built.partitions))
+    MethodRun(method, built.maxPartitionBuildMs / 1000.0, res.avgQueryMs, res.perQueryMs,
+      res.avgAccessFraction * 100.0, res.neighbors)
+  }
+
+  /** Build each method once, warm it up on the first workload, answer every
+    * workload of the sweep against the cached index, and verify
+    * cross-method agreement per workload label.
     */
   def runSweep(df: DataFrame, methods: Seq[String], cfg: IndexConfig,
                sweeps: Seq[(String, Array[Array[Float]], QueryKnobs)]): Seq[(String, MethodRun)] = {
-    val spark = df.sparkSession
     val out = methods.flatMap { m =>
-      val parts = partitionsFor(m, spark)
-      val built = Distributed.build(df, m, cfg, parts)
+      val built = Distributed.build(df, m, cfg, partitionsFor(m, df.sparkSession))
       try {
-        // Untimed warmup so JIT compilation does not bias the first workload.
-        sweeps.headOption.foreach { case (_, queries, qk) =>
-          Distributed.knnBatch(built, queries, scaleKnobs(qk, parts))
-        }
-        sweeps.map { case (label, queries, qk) =>
-          val res = oneAtATime(built, queries, scaleKnobs(qk, parts))
-          (label, MethodRun(m, built.maxPartitionBuildMs / 1000.0, res.avgQueryMs, res.perQueryMs,
-            res.avgAccessFraction * 100.0, res.neighbors))
-        }
+        sweeps.headOption.foreach { case (_, queries, qk) => warmUp(built, queries, qk) }
+        sweeps.map { case (label, queries, qk) => (label, answer(m, built, queries, qk)) }
       } finally built.unpersist()
     }
     out.groupBy(_._1).values.foreach(g => checkExactAgreement(g.map(_._2)))

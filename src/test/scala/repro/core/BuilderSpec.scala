@@ -85,6 +85,13 @@ class BuilderSpec extends AnyFunSuite {
     assert(a.nSeries == b.nSeries)
   }
 
+  test("IndexConfig rejects a thread count or DBuffer size below 1 and a negative HBuffer size") {
+    val ok = IndexConfig(seriesLength = 8)
+    for (bad <- Seq[IndexConfig => IndexConfig](_.copy(buildThreads = 0), _.copy(writerThreads = 0),
+                                                _.copy(dbSize = 0), _.copy(hbufferSlots = -1)))
+      intercept[IllegalArgumentException](bad(ok))
+  }
+
   test("with hbufferSlots = 0, four workers index every series once") {
     val cfg = TestUtil.cfg(32, 16, 4)
     for (seed <- 1 to 3) {

@@ -9,11 +9,13 @@ import repro.spark.{Distributed, SeriesFrames}
   */
 class RunnerSpec extends SparkSpec {
 
-  test("runAll agrees across all methods and yields timing rows") {
+  test("one-workload runSweep agrees across all methods and yields timing rows") {
     val df = SeriesFrames.dataset(spark, "walk", 400, 24, 5)
     val queries = SeriesGen.queries("walk", "5%", 3, 400, 24, 5)
     val cfg = repro.core.IndexConfig(seriesLength = 24, leafCapacity = 16)
-    val runs = Runner.runAll(df, Runner.allMethods, cfg, queries, Runner.knobs(1, lmax = 3))
+    val out = Runner.runSweep(df, Runner.allMethods, cfg, Seq(("5%", queries, Runner.knobs(1, lmax = 3))))
+    assert(out.map(_._1).distinct == Seq("5%"))
+    val runs = out.map(_._2)
     assert(runs.map(_.method) == Runner.allMethods)
     runs.foreach { r =>
       assert(r.buildS >= 0.0)
