@@ -1,5 +1,6 @@
 package repro.jobs
 
+import java.nio.file.{Files, Paths}
 import repro.core.IndexConfig
 import repro.spark.{Distributed, SeriesFrames}
 
@@ -9,9 +10,18 @@ import repro.spark.{Distributed, SeriesFrames}
   * Usage: BuildIndexJob <outDir> [kind] [nSeries] [len] [partitions]
   *
   * `outDir` must not already hold `.idx` files from an earlier save: the
-  * save rejects such a directory before it writes anything.
+  * save rejects such a directory before it writes anything. Beside the
+  * `.idx` files, [[KindFile]] names the generator kind, from which
+  * [[QueryJob]] draws its queries.
   */
 object BuildIndexJob {
+
+  /** The file under an index directory that names its generator kind. */
+  val KindFile = "kind.txt"
+
+  /** Record that the index under `dir` was built from generator `kind`. */
+  def recordKind(dir: String, kind: String): Unit = Files.writeString(Paths.get(dir, KindFile), kind)
+
   def main(args: Array[String]): Unit = {
     val outDir = args.headOption.getOrElse("/tmp/hercules-index")
     val kind = args.lift(1).getOrElse("walk")
@@ -23,6 +33,7 @@ object BuildIndexJob {
       val df = SeriesFrames.dataset(spark, kind, nSeries, len, seed = 20220601L)
       val built = Distributed.build(df, "hercules", IndexConfig(seriesLength = len, leafCapacity = 64), partitions)
       Distributed.saveToDir(built, outDir)
+      recordKind(outDir, kind)
       println(s"built $partitions partition indexes over $nSeries series -> $outDir " +
         f"(wall ${built.buildWallMs / 1000}%.2fs, max partition ${built.maxPartitionBuildMs / 1000}%.2fs)")
     } finally spark.stop()

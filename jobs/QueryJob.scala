@@ -1,18 +1,37 @@
 package repro.jobs
 
+import java.nio.file.{Files, Paths}
 import repro.core.SeriesGen
 import repro.experiments.Runner
 import repro.spark.Distributed
 
 /** Stage 2 of the paper's pipeline: load a saved per-partition index and
-  * answer a k-NN workload drawn for its series count and length.
+  * answer a k-NN workload drawn for its generator kind, series count and
+  * length.
   *
   * Usage: QueryJob <indexDir> [kind] [workload] [k] [nQ]
+  *
+  * `kind` defaults to the one [[BuildIndexJob]] recorded for the index; any
+  * other is rejected, since a noisy workload's queries are copies of the
+  * generated series of that kind.
   */
 object QueryJob {
+
+  /** The generator kind of the index under `dir`, as [[BuildIndexJob]]
+    * recorded it; rejects a `requested` kind that differs, naming both.
+    */
+  def kindFor(dir: String, requested: Option[String]): String = {
+    val file = Paths.get(dir, BuildIndexJob.KindFile)
+    require(Files.exists(file), s"$dir has no ${BuildIndexJob.KindFile}; build the index with BuildIndexJob")
+    val built = Files.readString(file)
+    requested.foreach(k =>
+      require(k == built, s"the index under $dir was built from kind '$built', so it cannot answer kind '$k'"))
+    built
+  }
+
   def main(args: Array[String]): Unit = {
     val dir = args.headOption.getOrElse("/tmp/hercules-index")
-    val kind = args.lift(1).getOrElse("walk")
+    val kind = kindFor(dir, args.lift(1))
     val workload = args.lift(2).getOrElse("5%")
     val k = args.lift(3).map(_.toInt).getOrElse(1)
     val nQ = args.lift(4).map(_.toInt).getOrElse(10)

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
-import scala.collection.mutable.ArrayBuffer
 
 /** Split-policy selection (§3.2): evaluates every H-split and V-split
   * candidate on the actual leaf contents and keeps the one maximizing the
@@ -13,28 +12,69 @@ import scala.collection.mutable.ArrayBuffer
   * z-normalized series are indistinguishable on the whole-series segment
   * (μ=0, σ=1), so the root must discover sub-segment structure.
   *
-  * Each segment's per-series mean and sd are computed once, into a `Column`;
-  * a candidate segmentation is a list of columns (the node's own, with one
-  * of them halved for a V-split). The undivided node's QoS is summed once
-  * per segmentation, and each candidate scores both children in one pass
-  * over the columns.
+  * Each segment's per-series mean and sd are computed once, into a `Column`,
+  * from running sums that one pass over each member takes at every cut point
+  * the candidates read (`Sums`); a candidate segmentation is a list of
+  * columns (the node's own, with one of them halved for a V-split). The
+  * undivided node's QoS is summed once per segmentation, and each candidate
+  * scores both children in one pass over the columns. The winner's columns
+  * then route the members and give the children's synopses.
   */
 object SplitPolicy {
 
-  /** Per-series mean and sd of the segment `[from, until)`, and their
-    * min/max over the whole node (also [[IndexWriter]]'s VSplitSynopsis fold).
+  /** Every member's running sums of its points, shifted by its first point,
+    * at the increasing cut points `cuts`: the sums [[SeriesCtx]] keeps, taken
+    * in the same order, so a [[Column]] equals one read from the members'
+    * SeriesCtx bit for bit.
     */
-  private[core] final class Column(ctxs: Array[SeriesCtx], from: Int, until: Int) {
+  private[core] final class Sums(val cuts: Array[Int], val rho: Int) {
+    private val nc = cuts.length
+    private[SplitPolicy] val base = new Array[Double](rho)
+    private[SplitPolicy] val pre = new Array[Double](rho * nc)
+    private[SplitPolicy] val pre2 = new Array[Double](rho * nc)
+
+    /** Take member `i`'s sums from its points `src[off, off + cuts.last)`. */
+    def fill(i: Int, src: Array[Float], off: Int): Unit = {
+      val b = src(off).toDouble
+      base(i) = b
+      var sum, sum2 = 0.0
+      var p = 0
+      var c = 0
+      while (c < nc) {
+        val stop = cuts(c)
+        while (p < stop) {
+          val v = src(off + p).toDouble - b
+          sum += v
+          sum2 += v * v
+          p += 1
+        }
+        pre(i * nc + c) = sum
+        pre2(i * nc + c) = sum2
+        c += 1
+      }
+    }
+  }
+
+  /** Per-member mean and sd of the segment `[from, until)`, both cut points
+    * of `sums`, and their min/max over the members (also [[IndexWriter]]'s
+    * VSplitSynopsis fold).
+    */
+  private[core] final class Column(sums: Sums, from: Int, until: Int) {
     val len: Int = until - from
-    val mu = new Array[Double](ctxs.length)
-    val sd = new Array[Double](ctxs.length)
+    val mu = new Array[Double](sums.rho)
+    val sd = new Array[Double](sums.rho)
     var muMin, sdMin = Double.PositiveInfinity
     var muMax, sdMax = Double.NegativeInfinity
     locally {
+      val nc = sums.cuts.length
+      val a = java.util.Arrays.binarySearch(sums.cuts, from)
+      val b = java.util.Arrays.binarySearch(sums.cuts, until)
+      require(a >= 0 && b >= 0, s"[$from, $until) is not between cut points")
       var i = 0
-      while (i < ctxs.length) {
-        val m = ctxs(i).mean(from, until)
-        val s = ctxs(i).sd(from, until)
+      while (i < sums.rho) {
+        val sum = sums.pre(i * nc + b) - sums.pre(i * nc + a)
+        val m = SeriesCtx.mean(sums.base(i), sum, len)
+        val s = SeriesCtx.sd(sum, sums.pre2(i * nc + b) - sums.pre2(i * nc + a), len)
         mu(i) = m
         sd(i) = s
         if (m < muMin) muMin = m
@@ -44,6 +84,47 @@ object SplitPolicy {
         i += 1
       }
     }
+  }
+
+  /** The winning split of a node's members and its columns, one per segment
+    * of the children's segmentation.
+    */
+  private[core] final class Choice(val split: SplitInfo, val cols: Array[Column]) {
+
+    /** True iff member `i` belongs to the left child: the split's statistic,
+      * read from its route column, is below the split value.
+      */
+    def goesLeft(i: Int): Boolean = {
+      val c = cols(split.routeSeg)
+      (if (split.useSd) c.sd(i) else c.mu(i)) < split.value
+    }
+
+    /** Fold member `i`'s statistics into `child`'s synopsis. */
+    def foldInto(child: Node, i: Int): Unit = {
+      var j = 0
+      while (j < cols.length) {
+        val c = cols(j)
+        child.widen(j, c.mu(i), c.mu(i), c.sd(i), c.sd(i))
+        j += 1
+      }
+    }
+  }
+
+  /** The bounds of `node`'s segments and of their halves, in increasing
+    * order: every cut point a candidate's columns read.
+    */
+  private[core] def cutsOf(node: Node): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    out += 0
+    var seg = 0
+    while (seg < node.segCount) {
+      val st = node.segStart(seg)
+      val en = node.ends(seg)
+      if (en - st >= 2) out += (st + en) / 2
+      out += en
+      seg += 1
+    }
+    out.result()
   }
 
   /** `q` plus one segment's QoS term: its length times the squared ranges of
@@ -59,20 +140,23 @@ object SplitPolicy {
     }
 
   /** Pick the best split for a full leaf holding `series`. */
-  def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] =
-    choose(node, series.iterator.map(new SeriesCtx(_)).toArray)
+  def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] = {
+    val sums = new Sums(cutsOf(node), series.length)
+    series.indices.foreach(i => sums.fill(i, series(i), 0))
+    choose(node, sums).map(_.split)
+  }
 
-  /** Pick the best split for a full leaf whose members' statistics are
-    * `ctxs`, or None when they are indistinguishable under every candidate
-    * statistic (the leaf is then allowed to exceed capacity instead of
-    * splitting forever).
+  /** Pick the best split for a full leaf whose members' running sums at
+    * [[cutsOf]] the node are `sums`, or None when they are indistinguishable
+    * under every candidate statistic (the leaf is then allowed to exceed
+    * capacity instead of splitting forever).
     */
-  def choose(node: Node, ctxs: Array[SeriesCtx]): Option[SplitInfo] = {
-    val rho = ctxs.length
+  private[core] def choose(node: Node, sums: Sums): Option[Choice] = {
+    val rho = sums.rho
     // Members of the left child, then of the right, each in input order.
     val order = new Array[Int](rho)
 
-    var best: SplitInfo = null
+    var best: Choice = null
     var bestGain = Double.NegativeInfinity
 
     def nodeQos(cols: Array[Column]): Double =
@@ -149,11 +233,11 @@ object SplitPolicy {
       val gain = before - (leftCnt.toDouble / rho * qL + (rho - leftCnt).toDouble / rho * qR)
       if (gain > bestGain) {
         bestGain = gain
-        best = SplitInfo(vertical, childEnds, routeSeg, useSd, value)
+        best = new Choice(SplitInfo(vertical, childEnds, routeSeg, useSd, value), cols)
       }
     }
 
-    val base = Array.tabulate(node.segCount)(s => new Column(ctxs, node.segStart(s), node.ends(s)))
+    val base = Array.tabulate(node.segCount)(s => new Column(sums, node.segStart(s), node.ends(s)))
     val baseQos = nodeQos(base)
     var seg = 0
     while (seg < node.segCount) {
@@ -164,7 +248,7 @@ object SplitPolicy {
       if (en - st >= 2) {
         val mid = (st + en) / 2
         val vEnds = (node.ends.take(seg) :+ mid) ++ node.ends.drop(seg)
-        val vCols = (base.take(seg) :+ new Column(ctxs, st, mid) :+ new Column(ctxs, mid, en)) ++
+        val vCols = (base.take(seg) :+ new Column(sums, st, mid) :+ new Column(sums, mid, en)) ++
           base.drop(seg + 1)
         val vQos = nodeQos(vCols)
         consider(vertical = true, vEnds, vCols, vQos, seg, useSd = false)
@@ -193,12 +277,12 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) {
 
   private def newNode(ends: Array[Int]): Node = new Node(ends, nextId.getAndIncrement())
 
-  /** Insert series `s` into `worker`'s HBuffer region, as the mode says.
-    * Its one [[SeriesCtx]] serves every routing step and synopsis update.
+  /** Insert the series loaded in `sc` into `worker`'s HBuffer region, as
+    * the mode says. `sc` serves every routing step and synopsis update.
     */
-  def insert(id: Long, s: Array[Float], worker: Int, store: SeriesStore): Unit = mode match {
-    case BuildMode.Hercules   => insertLeafLocked(id, new SeriesCtx(s), worker, store)
-    case BuildMode.PathLocked => insertPathLocked(root, id, new SeriesCtx(s), worker, store)
+  def insert(id: Long, sc: SeriesCtx, worker: Int, store: SeriesStore): Unit = mode match {
+    case BuildMode.Hercules   => insertLeafLocked(id, sc, worker, store)
+    case BuildMode.PathLocked => insertPathLocked(root, id, sc, worker, store)
   }
 
   /** Algorithm 5: route, lock the leaf, re-check leafness, append, and split
@@ -247,44 +331,48 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) {
       splitLeaf(leaf, store)
   }
 
-  /** Split a full leaf (Algorithm 5 lines 9–14): gather its series from
-    * memory and spill, choose the best policy from the actual data, create
-    * two children, and redistribute SBuffer slots / spill records. One
-    * [[SeriesCtx]] per member serves the choice, its routing and the
-    * children's synopses.
+  /** Split a full leaf (Algorithm 5 lines 9–14): take its members' running
+    * sums in one pass each (HBuffer slots in place, spilled records as the
+    * log returns them), choose the best policy from them, create two
+    * children, and hand each member's SBuffer slot or record number to its
+    * child. The winner's columns route the members and give the children's
+    * synopses.
     */
   private def splitLeaf(leaf: Node, store: SeriesStore): Unit = {
     attempts.incrementAndGet()
-    val spilled = store.readSpill(leaf)
+    val spilled = leaf.spilled
     val memSlots = leaf.slots
-    val ctxs = (spilled.iterator.map(_._2) ++ memSlots.iterator.map(store.seriesAt))
-      .map(new SeriesCtx(_)).toArray
-    SplitPolicy.choose(leaf, ctxs) match {
+    val sums = new SplitPolicy.Sums(SplitPolicy.cutsOf(leaf), spilled.length + memSlots.length)
+    var first: Array[Float] = null
+    var i = 0
+    store.foreachMember(leaf) { (_, src, off) =>
+      if (i == 0) first = java.util.Arrays.copyOfRange(src, off, off + cfg.seriesLength)
+      sums.fill(i, src, off)
+      i += 1
+    }
+    SplitPolicy.choose(leaf, sums) match {
       case None => // indistinguishable contents: tolerate an oversized leaf
         failed.incrementAndGet()
-        leaf.unsplittableAs = ctxs(0).series
-      case Some(policy) =>
-        val l = newNode(policy.childEnds)
-        val r = newNode(policy.childEnds)
+        leaf.unsplittableAs = first
+      case Some(choice) =>
+        val l = newNode(choice.split.childEnds)
+        val r = newNode(choice.split.childEnds)
         l.parent = leaf
         r.parent = leaf
-        // Spilled records move to the children's spill files; in-memory
-        // slots keep their HBuffer place, and only SBuffer pointers move.
-        val toL, toR = new ArrayBuffer[(Long, Array[Float])]
-        for (i <- ctxs.indices) {
-          val goesLeft = policy.goesLeft(ctxs(i))
-          val child = if (goesLeft) l else r
-          if (i < spilled.length) (if (goesLeft) toL else toR) += spilled(i)
-          else child.slots += memSlots(i - spilled.length)
-          child.updateSynopsis(ctxs(i))
+        // Every member stays where it is, in the log or the HBuffer.
+        var m = 0
+        while (m < sums.rho) {
+          val child = if (choice.goesLeft(m)) l else r
+          if (m < spilled.length) child.spilled += spilled(m)
+          else child.slots += memSlots(m - spilled.length)
+          choice.foldInto(child, m)
           child.count += 1
+          m += 1
         }
-        store.spill(l, toL)
-        store.spill(r, toR)
-        store.dropSpill(leaf)
         leaf.slots = null
+        leaf.spilled = null
         leaf.unsplittableAs = null
-        leaf.split = policy
+        leaf.split = choice.split
         leaf.left = l
         leaf.right = r
         leaf.isLeaf = false // volatile store last: publishes the split safely

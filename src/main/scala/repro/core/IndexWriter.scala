@@ -18,15 +18,16 @@ import scala.collection.mutable.ArrayBuffer
   */
 object IndexWriter {
 
-  /** Materialize `tree` (+ its HBuffer/spill contents) into a queryable
-    * [[HerculesIndex]], then close `store`, deleting its spill directory.
+  /** Materialize `tree` (+ its HBuffer/spill log contents) into a queryable
+    * [[HerculesIndex]], then close `store`, deleting its spill log.
     *
     * @param threads WriteIndexWorker count (1 = NoWPara ablation)
     */
   def write(tree: HerculesTree, store: SeriesStore, threads: Int = 1): HerculesIndex = {
     val cfg = tree.cfg
     val len = cfg.seriesLength
-    val leaves = tree.root.leavesInorder
+    val nodes = tree.root.preorder
+    val leaves = nodes.filter(_.isLeaf)
     var pos = 0
     leaves.foreach { leaf =>
       leaf.filePos = pos
@@ -44,14 +45,13 @@ object IndexWriter {
       processLeaf(leaves(j), store, lrd, idsArr, lsd, isax, len, hercules)
     } finally store.close()
 
-    // WriteIndexTree: fix subtree counts (post-order) and drop build state.
-    def finish(node: Node): Int =
-      if (node.isLeaf) { node.count }
-      else {
-        node.count = finish(node.left) + finish(node.right)
-        node.count
-      }
-    finish(tree.root)
+    // WriteIndexTree: fix subtree counts, children before their parent.
+    var i = nodes.length - 1
+    while (i >= 0) {
+      val node = nodes(i)
+      if (!node.isLeaf) node.count = node.left.count + node.right.count
+      i -= 1
+    }
 
     new HerculesIndex(cfg, tree.root, lrd, idsArr, lsd, n)
   }
@@ -60,19 +60,20 @@ object IndexWriter {
   private def processLeaf(leaf: Node, store: SeriesStore, lrd: Array[Float],
                           idsArr: Array[Long], lsd: Array[Byte], isax: ISax,
                           len: Int, rebuildSynopses: Boolean): Unit = {
-    val vals = store.gather(leaf)
-    require(vals.length == leaf.count, s"leaf ${leaf.id}: ${vals.length} != ${leaf.count}")
+    val members = leaf.spilled.length + leaf.slots.length
+    require(members == leaf.count, s"leaf ${leaf.id}: $members != ${leaf.count}")
     var i = 0
-    while (i < vals.length) {
-      val (sid, s) = vals(i)
+    store.foreachMember(leaf) { (sid, src, off) =>
       val at = leaf.filePos + i
-      System.arraycopy(s, 0, lrd, at * len, len)
+      System.arraycopy(src, off, lrd, at * len, len)
       idsArr(at) = sid
-      if (lsd != null) System.arraycopy(isax.word(s), 0, lsd, at * isax.segments, isax.segments)
+      if (lsd != null)
+        System.arraycopy(isax.word(java.util.Arrays.copyOfRange(src, off, off + len)), 0, lsd,
+          at * isax.segments, isax.segments)
       i += 1
     }
-    store.dropSpill(leaf)
     leaf.slots = null
+    leaf.spilled = null
     leaf.unsplittableAs = null
 
     if (rebuildSynopses && leaf.parent != null) {
@@ -97,11 +98,15 @@ object IndexWriter {
         a = a.parent
       }
       if (destroyed.nonEmpty) {
-        // VSplitSynopsis: the members' SeriesCtx folded once per distinct
+        // VSplitSynopsis: the members' running sums, read in place from
+        // LRDFile at every destroyed bound, folded once per distinct
         // destroyed range, then one locked update per node.
-        val ctxs = vals.iterator.map { case (_, s) => new SeriesCtx(s) }.toArray
+        val cuts = destroyed.iterator.flatMap(d => Iterator(d._3, d._4)).toArray.distinct.sorted
+        val sums = new SplitPolicy.Sums(cuts, leaf.count)
+        var m = 0
+        while (m < leaf.count) { sums.fill(m, lrd, (leaf.filePos + m) * len); m += 1 }
         destroyed.groupBy(d => (d._3, d._4)).foreach { case ((st, en), entries) =>
-          val c = new SplitPolicy.Column(ctxs, st, en)
+          val c = new SplitPolicy.Column(sums, st, en)
           entries.foreach { case (node, k, _, _) =>
             node.synchronized(node.widen(k, c.muMin, c.muMax, c.sdMin, c.sdMax))
           }

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.nio.file.Path
 import scala.collection.mutable.ArrayBuffer
 
 /** Split policy of an internal node (§3.2).
@@ -39,8 +38,9 @@ final case class SplitInfo(
   * Every node owns a segmentation `ends` of `[0, seriesLength)` and a
   * synopsis per segment: min/max of the member series' per-segment mean and
   * standard deviation. Leaves additionally own build-time storage: a SBuffer
-  * of HBuffer slot indices plus an optional spill file (§3.3), replaced after
-  * index writing by a position/extent in LRDFile.
+  * of HBuffer slot indices plus the numbers of their records in the HBuffer's
+  * spill log (§3.3), replaced after index writing by a position/extent in
+  * LRDFile.
   */
 final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   /** Leaf flag; volatile so lock-free routing safely observes splits. */
@@ -61,9 +61,9 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   var parent: Node = _
 
   // Build-time leaf storage (dropped before serialization by IndexWriter).
-  @transient var slots: ArrayBuffer[Int] = new ArrayBuffer[Int]
-  @transient var spillFile: Path = _
-  var spilledCount: Int = 0
+  @transient var slots: IntList = new IntList
+  /** Numbers of the leaf's spilled records in the spill log, increasing. */
+  @transient var spilled: IntList = new IntList
   /** The leaf's first member when its last split attempt failed. */
   @transient var unsplittableAs: Array[Float] = _
 
@@ -108,13 +108,47 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
     if (sdHi > sdMax(i)) sdMax(i) = sdHi
   }
 
-  /** Leaves of this subtree, left-to-right (inorder leaf order → LRDFile order). */
-  def leavesInorder: ArrayBuffer[Node] = {
+  /** Nodes of this subtree in preorder, left child first, found with a loop
+    * so that a tree of any depth is walked.
+    */
+  def preorder: ArrayBuffer[Node] = {
     val out = new ArrayBuffer[Node]
-    def walk(n: Node): Unit =
-      if (n.isLeaf) out += n
-      else { walk(n.left); walk(n.right) }
-    walk(this)
+    val stack = new java.util.ArrayDeque[Node]
+    stack.push(this)
+    while (!stack.isEmpty) {
+      val n = stack.pop()
+      out += n
+      if (!n.isLeaf) { stack.push(n.right); stack.push(n.left) }
+    }
     out
   }
+
+  /** Leaves of this subtree, left-to-right (inorder leaf order → LRDFile order). */
+  def leavesInorder: ArrayBuffer[Node] = preorder.filter(_.isLeaf)
+}
+
+/** A growable list of ints that does not box them: a leaf's SBuffer slots
+  * and spill-log record numbers.
+  */
+final class IntList {
+  private var elems = new Array[Int](4)
+  private var size = 0
+
+  def length: Int = size
+  def isEmpty: Boolean = size == 0
+  def nonEmpty: Boolean = size != 0
+
+  def apply(i: Int): Int = {
+    if (i >= size) throw new IndexOutOfBoundsException(s"$i of $size")
+    elems(i)
+  }
+
+  def +=(x: Int): this.type = {
+    if (size == elems.length) elems = java.util.Arrays.copyOf(elems, 2 * size)
+    elems(size) = x
+    size += 1
+    this
+  }
+
+  def clear(): Unit = size = 0
 }

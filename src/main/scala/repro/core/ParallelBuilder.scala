@@ -30,8 +30,8 @@ object BuildMode {
   * end-of-chunk barrier. Its action is the FlushCoordinator — one thread, all
   * others parked — and it only flushes: when a series is still to be
   * claimed and at least half the workers' regions, `(workers + 1) / 2`,
-  * have no free slot (the paper's 12 of 24 build threads), it spills every
-  * leaf's buffered series to its spill file and empties every region (once
+  * have no free slot (the paper's 12 of 24 build threads), it appends every
+  * leaf's buffered series to the spill log and empties every region (once
   * every series is claimed no insert follows, so they stay in the HBuffer
   * for [[IndexWriter.write]]). It then moves the cursor to the next chunk if
   * this one is consumed; otherwise the workers resume the same chunk from
@@ -40,7 +40,7 @@ object BuildMode {
   *
   * An insert that throws records its exception and its worker still reaches
   * the barrier, whose action then ends the build; [[build]] closes the
-  * HBuffer's spill directory and rethrows the first such exception. No
+  * HBuffer's spill log and rethrows the first such exception. No
   * worker can wait on a barrier another has left.
   *
   * Deviations from the paper (noted in DESIGN.md): there is no read
@@ -84,12 +84,14 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     // The barrier needs every worker running at once; Par's pool is an
     // unbounded cached pool, so each worker gets its own thread.
     Par.run(workers) { w =>
+      // One statistic per worker, made on the worker's own thread.
+      val sc = new SeriesCtx(cfg.seriesLength)
       while (chunk < chunks) {
         val end = chunkEnd
         guarded {
           var i = 0
           while (store.freeSlots(w) > 0 && { i = cursor.getAndIncrement(); i < end })
-            tree.insert(ids(i), data(i), w, store)
+            tree.insert(ids(i), sc.load(data(i)), w, store)
         }
         barrier.await()
       }

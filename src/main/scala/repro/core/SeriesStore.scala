@@ -9,12 +9,17 @@ import scala.collection.mutable.ArrayBuffer
 /** The HBuffer of §3.3: one pre-allocated flat float buffer holding the raw
   * series of all leaves, divided into per-worker bump-allocated regions.
   * Leaves reference it through SBuffer slot lists (`Node.slots`); when a
-  * flush is ordered, every leaf's buffered series are appended to that leaf's
-  * spill file and all regions reset — exactly the paper's two-level scheme.
+  * flush is ordered, every leaf's buffered series are appended to the one
+  * spill log and all regions reset. A leaf keeps the numbers of its records
+  * in the log (`Node.spilled`), so a split hands record numbers to its
+  * children just as it hands them SBuffer slots, and no record is written
+  * twice.
   *
   * Allocation is region-local (no synchronization); cross-thread visibility
   * of written floats is provided by the leaf lock under which slots are
   * published (writer stores floats, then adds the slot under the lock).
+  * Only the FlushCoordinator writes the log, while every worker is parked;
+  * reads are positional, so any number of threads may read at once.
   */
 final class SeriesStore(
     val seriesLen: Int,
@@ -29,6 +34,14 @@ final class SeriesStore(
   private val used = new Array[Int](numWorkers)
   private val recordBytes = 8 + 4 * seriesLen
   private var flushes = 0
+  /** The spill log, opened by the first flush that writes a record. */
+  private var log: FileChannel = _
+  private var logged = 0
+  /** Records a flush has encoded but not yet written; made by the first flush. */
+  private lazy val writeBuf = ByteBuffer.allocate(math.max(1, SeriesStore.WriteBytes / recordBytes) * recordBytes)
+
+  /** The spill log's path. */
+  private[core] val logFile: Path = spillRoot.resolve("spill.log")
 
   /** Remaining slots in worker `w`'s region. */
   def freeSlots(w: Int): Int = regionSlots - used(w)
@@ -44,103 +57,112 @@ final class SeriesStore(
     slot
   }
 
-  /** Materialize the series stored in `slot` (defensive copy). */
-  def seriesAt(slot: Int): Array[Float] = {
-    val out = new Array[Float](seriesLen)
-    System.arraycopy(flat, slot * seriesLen, out, 0, seriesLen)
-    out
-  }
-
-  /** Original id of the series stored in `slot`. */
-  def idAt(slot: Int): Long = slotIds(slot)
-
-  /** Flush every leaf of `root`: append buffered series to the leaf's spill
-    * file, clear its SBuffer, then reset all regions. Single-threaded — the
+  /** Flush every leaf of `root`: append all buffered series to the spill log,
+    * leaf by leaf, give each leaf its records' numbers, clear its SBuffer,
+    * then reset all regions. Records are written with one positional write
+    * per [[SeriesStore.WriteBytes]] of them. Single-threaded — the
     * FlushCoordinator runs this while all other workers are parked (§3.3.2).
     */
   def flushAll(root: Node): Unit = {
     root.leavesInorder.foreach { leaf =>
-      if (leaf.slots != null && leaf.slots.nonEmpty) {
-        val slots = leaf.slots
-        appendSpill(leaf, slots.length)((buf, r) =>
-          putRecord(buf, slotIds(slots(r)), flat, slots(r) * seriesLen))
-        slots.clear()
+      val slots = leaf.slots
+      var j = 0
+      while (j < slots.length) {
+        if (writeBuf.remaining < recordBytes) writeOut()
+        val slot = slots(j)
+        leaf.spilled += logged + writeBuf.position() / recordBytes
+        putRecord(writeBuf, slotIds(slot), flat, slot * seriesLen)
+        j += 1
       }
+      slots.clear()
     }
+    writeOut()
     java.util.Arrays.fill(used, 0)
     flushes += 1
+  }
+
+  /** Append the records encoded in `writeBuf` to the log and empty it. */
+  private def writeOut(): Unit = if (writeBuf.position() > 0) {
+    writeBuf.flip()
+    if (log == null)
+      log = FileChannel.open(logFile, StandardOpenOption.CREATE_NEW, StandardOpenOption.READ,
+        StandardOpenOption.WRITE)
+    val n = writeBuf.remaining / recordBytes
+    var at = logged.toLong * recordBytes
+    while (writeBuf.hasRemaining) at += log.write(writeBuf, at)
+    logged += n
+    writeBuf.clear()
   }
 
   /** Number of [[flushAll]] calls so far. */
   def flushCount: Int = flushes
 
-  /** Append `(id, series)` records to `leaf`'s spill file in one write. */
-  def spill(leaf: Node, records: collection.Seq[(Long, Array[Float])]): Unit =
-    appendSpill(leaf, records.length) { (buf, r) =>
-      val (id, s) = records(r)
-      putRecord(buf, id, s, 0)
-    }
-
-  /** The spill file of a leaf (created lazily on first flush). */
-  def spillPathFor(leaf: Node): Path = {
-    if (leaf.spillFile == null) leaf.spillFile = spillRoot.resolve(s"leaf-${leaf.id}.bin")
-    leaf.spillFile
-  }
-
-  /** Read a leaf's spilled records (id, series) in append order. */
-  def readSpill(leaf: Node): ArrayBuffer[(Long, Array[Float])] = {
-    val n = leaf.spilledCount
-    val out = new ArrayBuffer[(Long, Array[Float])](n)
-    if (n > 0 && leaf.spillFile != null && Files.exists(leaf.spillFile)) {
-      val buf = ByteBuffer.allocate(Math.multiplyExact(n, recordBytes))
-      val ch = FileChannel.open(leaf.spillFile, StandardOpenOption.READ)
-      try {
-        while (buf.hasRemaining)
-          if (ch.read(buf) < 0) throw new EOFException(s"${leaf.spillFile}: fewer than $n records")
-      } finally ch.close()
-      buf.flip()
-      var r = 0
-      while (r < n) { out += getRecord(buf); r += 1 }
-    }
-    out
-  }
-
-  /** All series of a leaf: spilled records first, then in-memory slots. */
-  def gather(leaf: Node): ArrayBuffer[(Long, Array[Float])] = {
-    val out = readSpill(leaf)
-    if (leaf.slots != null) leaf.slots.foreach(slot => out += ((idAt(slot), seriesAt(slot))))
-    out
-  }
-
-  /** Delete a split node's spill file (children got their own). */
-  def dropSpill(leaf: Node): Unit = {
-    if (leaf.spillFile != null) { Files.deleteIfExists(leaf.spillFile); leaf.spillFile = null }
-    leaf.spilledCount = 0
-  }
-
-  /** Delete every spill file left and the spill directory. The store must
-    * not spill again; calling it twice is harmless.
+  /** Pass every member of `leaf` to `f` as (id, array, offset of its first
+    * point): its spilled records first, in log order, decoded one at a time
+    * into a scratch array that is valid only during the call; then its
+    * HBuffer slots, in place.
     */
-  def close(): Unit = if (Files.exists(spillRoot)) {
-    val files = Files.list(spillRoot)
-    try files.forEach(f => Files.deleteIfExists(f))
-    finally files.close()
+  def foreachMember(leaf: Node)(f: (Long, Array[Float], Int) => Unit): Unit = {
+    val recs = leaf.spilled
+    if (recs.nonEmpty) {
+      val buf = readRecords(recs)
+      val scratch = new Array[Float](seriesLen)
+      var r = 0
+      while (r < recs.length) {
+        val id = buf.getLong()
+        var i = 0
+        while (i < seriesLen) { scratch(i) = buf.getFloat(); i += 1 }
+        f(id, scratch, 0)
+        r += 1
+      }
+    }
+    val slots = leaf.slots
+    var j = 0
+    while (j < slots.length) {
+      val slot = slots(j)
+      f(slotIds(slot), flat, slot * seriesLen)
+      j += 1
+    }
+  }
+
+  /** All series of a leaf as (id, series): spilled records first, then
+    * in-memory slots.
+    */
+  def gather(leaf: Node): ArrayBuffer[(Long, Array[Float])] = {
+    val out = new ArrayBuffer[(Long, Array[Float])](leaf.count)
+    foreachMember(leaf)((id, src, off) => out += ((id, java.util.Arrays.copyOfRange(src, off, off + seriesLen))))
+    out
+  }
+
+  /** Delete the spill log and the spill directory. The store must not spill
+    * again; calling it twice is harmless.
+    */
+  def close(): Unit = {
+    if (log != null) { log.close(); log = null }
+    Files.deleteIfExists(logFile)
     Files.deleteIfExists(spillRoot)
   }
 
-  /** Encode `n` records (`put` writes record `r`) and append them to
-    * `leaf`'s spill file with one write.
+  /** The records numbered `recs` (increasing), read from the log with one
+    * positional read per run of consecutive numbers.
     */
-  private def appendSpill(leaf: Node, n: Int)(put: (ByteBuffer, Int) => Unit): Unit = if (n > 0) {
-    val buf = ByteBuffer.allocate(Math.multiplyExact(n, recordBytes))
-    var r = 0
-    while (r < n) { put(buf, r); r += 1 }
+  private def readRecords(recs: IntList): ByteBuffer = {
+    val buf = ByteBuffer.allocate(Math.multiplyExact(recs.length, recordBytes))
+    var j = 0
+    while (j < recs.length) {
+      var e = j + 1
+      while (e < recs.length && recs(e) == recs(e - 1) + 1) e += 1
+      buf.limit(e * recordBytes)
+      var at = recs(j).toLong * recordBytes
+      while (buf.hasRemaining) {
+        val got = log.read(buf, at)
+        if (got < 0) throw new EOFException(s"$logFile: record ${recs(e - 1)} is past the end")
+        at += got
+      }
+      j = e
+    }
     buf.flip()
-    val ch = FileChannel.open(spillPathFor(leaf),
-      StandardOpenOption.CREATE, StandardOpenOption.WRITE, StandardOpenOption.APPEND)
-    try while (buf.hasRemaining) ch.write(buf)
-    finally ch.close()
-    leaf.spilledCount += n
+    buf
   }
 
   /** The spill record codec: a big-endian long id, then the series' floats,
@@ -151,21 +173,17 @@ final class SeriesStore(
     var i = 0
     while (i < seriesLen) { buf.putInt(java.lang.Float.floatToIntBits(src(off + i))); i += 1 }
   }
-
-  /** Decode the record at `buf`'s position (the inverse of [[putRecord]]). */
-  private def getRecord(buf: ByteBuffer): (Long, Array[Float]) = {
-    val id = buf.getLong()
-    val s = new Array[Float](seriesLen)
-    var i = 0
-    while (i < seriesLen) { s(i) = buf.getFloat(); i += 1 }
-    (id, s)
-  }
 }
 
 object SeriesStore {
 
-  /** Create a store with a fresh temp spill directory, which [[close]]
-    * deletes.
+  /** Bytes of records a flush encodes before each write to the log: a
+    * bounded buffer, whatever the HBuffer's size.
+    */
+  val WriteBytes: Int = 4 << 20
+
+  /** Create a store with a fresh temp spill directory for its spill log,
+    * which [[close]] deletes.
     *
     * @param totalSlots capacity across all workers; rounded up so each region
     *                   holds at least `minRegion` series (the DBuffer chunk),

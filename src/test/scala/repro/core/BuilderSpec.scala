@@ -50,6 +50,29 @@ class BuilderSpec extends AnyFunSuite {
     assert(checkBuild(BuildMode.PathLocked, cfg, 400, 17) > 0)
   }
 
+  test("a one-thread build that flushes many times builds the tree of one that never flushes") {
+    val cfg = TestUtil.cfg(256, 64).copy(dbSize = 512)
+    val (ids, data) = TestUtil.dataset(16384, 256, 61)
+    def build(c: IndexConfig) = new ParallelBuilder(c, BuildMode.Hercules).build(ids, data)
+    val (plain, plainStore) = build(cfg)
+    val (flushed, flushedStore) = build(cfg.copy(hbufferSlots = 1024))
+    try {
+      assert(plainStore.flushCount == 0 && flushedStore.flushCount > 10)
+      val nodes = plain.root.preorder.zip(flushed.root.preorder)
+      assert(plain.root.preorder.length == flushed.root.preorder.length)
+      nodes.foreach { case (a, b) =>
+        assert(a.isLeaf == b.isLeaf, s"node ${a.id}")
+        if (a.isLeaf)
+          assert(plainStore.gather(a).map(_._1).toSet == flushedStore.gather(b).map(_._1).toSet, s"leaf ${a.id}")
+        else {
+          val (x, y) = (a.split, b.split)
+          assert(x.vertical == y.vertical && x.childEnds.sameElements(y.childEnds) && x.routeSeg == y.routeSeg &&
+            x.useSd == y.useSd && java.lang.Double.compare(x.value, y.value) == 0, s"node ${a.id}")
+        }
+      }
+    } finally { plainStore.close(); flushedStore.close() }
+  }
+
   for (mode <- Seq[BuildMode](BuildMode.Hercules, BuildMode.PathLocked))
     test(s"no flush once every series is claimed ($mode)") {
       // One region of 128 slots and chunks of 64: the region is full after

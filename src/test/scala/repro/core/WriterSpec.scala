@@ -135,4 +135,55 @@ class WriterSpec extends AnyFunSuite {
     val res = idx.knn(q, QueryKnobs(k = 5, lmax = 2))
     TestUtil.assertExact(ids, data, q, 5, res, "v-split tree")
   }
+
+  /** Run `body` on a thread with a 256 KB stack, which a walk that recursed
+    * once per tree level would overflow on a deep tree.
+    */
+  private def onSmallStack(body: => Unit): Unit = {
+    var failure: Throwable = null
+    val t = new Thread(null, () => try body catch { case e: Throwable => failure = e }, "small-stack", 256L * 1024)
+    t.start()
+    t.join()
+    failure match {
+      case null =>
+      case e: StackOverflowError => fail("the stack grew with the tree's depth", e)
+      case e => throw e
+    }
+  }
+
+  test("leavesInorder and the writer walk a chain 100 000 nodes deep") {
+    onSmallStack {
+      // Each internal node's right child is a leaf holding one series; its
+      // left child is the next node of the chain, so a recursive walk could
+      // not end in a tail call. Ids follow the leaves' inorder.
+      val depth = 100000
+      val len = 4
+      val cfg = TestUtil.cfg(len)
+      val tree = new HerculesTree(cfg, BuildMode.PathLocked)
+      val store = SeriesStore.create(len, 1, depth + 1, 1)
+      def hold(leaf: Node, id: Long): Unit = {
+        leaf.slots += store.alloc(0, id, Array.fill(len)(id.toFloat))
+        leaf.count = 1
+      }
+      var n = tree.root
+      for (d <- 0 until depth) {
+        val l = new Node(n.ends, 2 * d + 1)
+        val r = new Node(n.ends, 2 * d + 2)
+        l.parent = n
+        r.parent = n
+        hold(r, (depth - d).toLong)
+        n.split = SplitInfo(vertical = false, n.ends, 0, useSd = false, d.toDouble)
+        n.left = l
+        n.right = r
+        n.isLeaf = false
+        n = l
+      }
+      hold(n, 0L)
+      assert(tree.root.leavesInorder.length == depth + 1)
+      val idx = IndexWriter.write(tree, store)
+      assert(idx.root.count == depth + 1)
+      assert(idx.ids.toSeq == (0L to depth.toLong))
+      assert(idx.lrd(depth * len) == depth.toFloat && idx.root.left.count == depth)
+    }
+  }
 }
