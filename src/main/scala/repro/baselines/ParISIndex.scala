@@ -34,11 +34,7 @@ final class ParISIndex(
     */
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats, results: KnnSet): Array[Neighbor] = {
     val refiner = new Refiner(this, q, results, stats)
-    val paaQ = isax.paa(q)
-    val qWord = new Array[Byte](isax.segments)
-    var i = 0
-    while (i < isax.segments) { qWord(i) = isax.symbolOf(paaQ(i)); i += 1 }
-    val qKey = ParISIndex.keyOf(qWord, 0, isax.segments)
+    val qKey = ParISIndex.keyOf(isax.word(q), 0, isax.segments)
 
     // Approximate answer from the query's root subtree (nearest non-empty
     // group by Hamming distance on the top bits when the exact one is empty).
@@ -48,7 +44,7 @@ final class ParISIndex(
 
     // SIMS filtering: parallel LB_SAX over every summary in LSDFile.
     val t = knobs.threads
-    val table = isax.queryTable(paaQ)
+    val table = isax.queryTable(isax.paa(q))
     val found = refiner.filter(FlatSeries.blocks(nSeries, 4096), t)((_, j) => table.lb2(lsd, j * isax.segments))
     stats.saxChecked.addAndGet(nSeries)
     val candidates = Refiner.inOrder(found)
@@ -85,7 +81,7 @@ object ParISIndex {
     val grouped = new java.util.HashMap[Int, ArrayBuffer[Int]]
     var i = 0
     while (i < n) {
-      System.arraycopy(isax.word(data(i)), 0, lsd, i * isax.segments, isax.segments)
+      isax.writeWord(data(i), 0, lsd, i * isax.segments)
       val key = keyOf(lsd, i * isax.segments, isax.segments)
       var buf = grouped.get(key)
       if (buf == null) { buf = new ArrayBuffer[Int]; grouped.put(key, buf) }

@@ -14,46 +14,13 @@ import java.util.concurrent.atomic.AtomicInteger
   *
   * Each segment's per-series mean and sd are computed once, into a `Column`,
   * from running sums that one pass over each member takes at every cut point
-  * the candidates read (`Sums`); a candidate segmentation is a list of
+  * the candidates read ([[Sums]]); a candidate segmentation is a list of
   * columns (the node's own, with one of them halved for a V-split). The
   * undivided node's QoS is summed once per segmentation, and each candidate
   * scores both children in one pass over the columns. The winner's columns
   * then route the members and give the children's synopses.
   */
 object SplitPolicy {
-
-  /** Every member's running sums of its points, shifted by its first point,
-    * at the increasing cut points `cuts`: the sums [[SeriesCtx]] keeps, taken
-    * in the same order, so a [[Column]] equals one read from the members'
-    * SeriesCtx bit for bit.
-    */
-  private[core] final class Sums(val cuts: Array[Int], val rho: Int) {
-    private val nc = cuts.length
-    private[SplitPolicy] val base = new Array[Double](rho)
-    private[SplitPolicy] val pre = new Array[Double](rho * nc)
-    private[SplitPolicy] val pre2 = new Array[Double](rho * nc)
-
-    /** Take member `i`'s sums from its points `src[off, off + cuts.last)`. */
-    def fill(i: Int, src: Array[Float], off: Int): Unit = {
-      val b = src(off).toDouble
-      base(i) = b
-      var sum, sum2 = 0.0
-      var p = 0
-      var c = 0
-      while (c < nc) {
-        val stop = cuts(c)
-        while (p < stop) {
-          val v = src(off + p).toDouble - b
-          sum += v
-          sum2 += v * v
-          p += 1
-        }
-        pre(i * nc + c) = sum
-        pre2(i * nc + c) = sum2
-        c += 1
-      }
-    }
-  }
 
   /** Per-member mean and sd of the segment `[from, until)`, both cut points
     * of `sums`, and their min/max over the members (also [[IndexWriter]]'s
@@ -66,15 +33,13 @@ object SplitPolicy {
     var muMin, sdMin = Double.PositiveInfinity
     var muMax, sdMax = Double.NegativeInfinity
     locally {
-      val nc = sums.cuts.length
       val a = java.util.Arrays.binarySearch(sums.cuts, from)
       val b = java.util.Arrays.binarySearch(sums.cuts, until)
       require(a >= 0 && b >= 0, s"[$from, $until) is not between cut points")
       var i = 0
       while (i < sums.rho) {
-        val sum = sums.pre(i * nc + b) - sums.pre(i * nc + a)
-        val m = SeriesCtx.mean(sums.base(i), sum, len)
-        val s = SeriesCtx.sd(sum, sums.pre2(i * nc + b) - sums.pre2(i * nc + a), len)
+        val m = sums.mean(i, a, b)
+        val s = sums.sd(i, a, b)
         mu(i) = m
         sd(i) = s
         if (m < muMin) muMin = m
@@ -91,12 +56,10 @@ object SplitPolicy {
     */
   private[core] final class Choice(val split: SplitInfo, val cols: Array[Column]) {
 
-    /** True iff member `i` belongs to the left child: the split's statistic,
-      * read from its route column, is below the split value.
-      */
+    /** True iff member `i` belongs to the left child. */
     def goesLeft(i: Int): Boolean = {
       val c = cols(split.routeSeg)
-      (if (split.useSd) c.sd(i) else c.mu(i)) < split.value
+      split.goesLeft(if (split.useSd) c.sd(i) else c.mu(i))
     }
 
     /** Fold member `i`'s statistics into `child`'s synopsis. */
@@ -342,7 +305,7 @@ final class HerculesTree(val cfg: IndexConfig, val mode: BuildMode) {
     attempts.incrementAndGet()
     val spilled = leaf.spilled
     val memSlots = leaf.slots
-    val sums = new SplitPolicy.Sums(SplitPolicy.cutsOf(leaf), spilled.length + memSlots.length)
+    val sums = new Sums(SplitPolicy.cutsOf(leaf), spilled.length + memSlots.length)
     var first: Array[Float] = null
     var i = 0
     store.foreachMember(leaf) { (_, src, off) =>

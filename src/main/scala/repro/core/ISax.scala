@@ -29,14 +29,17 @@ final class ISax(val n: Int, val segments: Int, val cardinality: Int) extends Se
   def paa(s: Array[Float]): Array[Double] = {
     val out = new Array[Double](segments)
     var i = 0
-    while (i < segments) {
-      var j = ends(i)
-      var sum = 0.0
-      while (j < ends(i + 1)) { sum += s(j); j += 1 }
-      out(i) = sum / (ends(i + 1) - ends(i))
-      i += 1
-    }
+    while (i < segments) { out(i) = segMean(s, 0, i); i += 1 }
     out
+  }
+
+  /** Mean of segment `i` of the series at `src[off, off + n)`: one PAA value. */
+  private def segMean(src: Array[Float], off: Int, i: Int): Double = {
+    var j = off + ends(i)
+    val stop = off + ends(i + 1)
+    var sum = 0.0
+    while (j < stop) { sum += src(j); j += 1 }
+    sum / (ends(i + 1) - ends(i))
   }
 
   /** Symbol for one PAA value: index of the breakpoint region containing it. */
@@ -50,12 +53,16 @@ final class ISax(val n: Int, val segments: Int, val cardinality: Int) extends Se
     lo.toByte
   }
 
+  /** Write the iSAX word of the series at `src[off, off + n)` into `out` from `outOff`. */
+  def writeWord(src: Array[Float], off: Int, out: Array[Byte], outOff: Int): Unit = {
+    var i = 0
+    while (i < segments) { out(outOff + i) = symbolOf(segMean(src, off, i)); i += 1 }
+  }
+
   /** iSAX word of a series (one byte per segment). */
   def word(s: Array[Float]): Array[Byte] = {
-    val p = paa(s)
     val out = new Array[Byte](segments)
-    var i = 0
-    while (i < segments) { out(i) = symbolOf(p(i)); i += 1 }
+    writeWord(s, 0, out, 0)
     out
   }
 

@@ -33,7 +33,9 @@ final case class IndexConfig(
 ) {
   require(seriesLength > 0, "seriesLength must be positive")
   require(leafCapacity >= 2, "leafCapacity must be at least 2")
-  require(Integer.bitCount(saxCardinality) == 1, "saxCardinality must be a power of two")
+  require(saxSegments >= 1, "saxSegments must be at least 1")
+  require(saxCardinality >= 2 && saxCardinality <= 256 && Integer.bitCount(saxCardinality) == 1,
+    "saxCardinality must be a power of two from 2 to 256")
   require(buildThreads >= 1 && writerThreads >= 1 && dbSize >= 1, "thread counts and dbSize must be positive")
   require(hbufferSlots >= 0, "hbufferSlots must not be negative")
 

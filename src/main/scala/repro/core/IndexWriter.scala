@@ -31,7 +31,6 @@ object IndexWriter {
     var pos = 0
     leaves.foreach { leaf =>
       leaf.filePos = pos
-      leaf.leafSize = leaf.count
       pos += leaf.count
     }
     val n = pos
@@ -67,9 +66,7 @@ object IndexWriter {
       val at = leaf.filePos + i
       System.arraycopy(src, off, lrd, at * len, len)
       idsArr(at) = sid
-      if (lsd != null)
-        System.arraycopy(isax.word(java.util.Arrays.copyOfRange(src, off, off + len)), 0, lsd,
-          at * isax.segments, isax.segments)
+      if (lsd != null) isax.writeWord(src, off, lsd, at * isax.segments)
       i += 1
     }
     leaf.slots = null
@@ -102,7 +99,7 @@ object IndexWriter {
         // LRDFile at every destroyed bound, folded once per distinct
         // destroyed range, then one locked update per node.
         val cuts = destroyed.iterator.flatMap(d => Iterator(d._3, d._4)).toArray.distinct.sorted
-        val sums = new SplitPolicy.Sums(cuts, leaf.count)
+        val sums = new Sums(cuts, leaf.count)
         var m = 0
         while (m < leaf.count) { sums.fill(m, lrd, (leaf.filePos + m) * len); m += 1 }
         destroyed.groupBy(d => (d._3, d._4)).foreach { case ((st, en), entries) =>

@@ -29,8 +29,11 @@ final case class SplitInfo(
     if (useSd) sc.sd(from, until) else sc.mean(from, until)
   }
 
+  /** True iff a series whose routing statistic is `stat` belongs to the left child. */
+  def goesLeft(stat: Double): Boolean = stat < value
+
   /** True iff the series behind `sc` belongs to the left child. */
-  def goesLeft(sc: SeriesCtx): Boolean = statOf(sc) < value
+  def goesLeft(sc: SeriesCtx): Boolean = goesLeft(statOf(sc))
 }
 
 /** A Hercules/DSTree tree node (§3.2, Fig. 2).
@@ -67,9 +70,9 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
   /** The leaf's first member when its last split attempt failed. */
   @transient var unsplittableAs: Array[Float] = _
 
-  // After index writing: first series index and extent in LRDFile.
+  // After index writing: first series index in LRDFile; a leaf's extent is its count.
   var filePos: Int = -1
-  var leafSize: Int = 0
+  def leafSize: Int = count
 
   /** LRDFile positions of a written leaf's series. */
   def positions: Range = filePos until filePos + leafSize

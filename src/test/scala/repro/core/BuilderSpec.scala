@@ -110,8 +110,11 @@ class BuilderSpec extends AnyFunSuite {
 
   test("IndexConfig rejects a thread count or DBuffer size below 1 and a negative HBuffer size") {
     val ok = IndexConfig(seriesLength = 8)
+    // The iSAX shapes that ISax rejects are rejected here too, before any build.
     for (bad <- Seq[IndexConfig => IndexConfig](_.copy(buildThreads = 0), _.copy(writerThreads = 0),
-                                                _.copy(dbSize = 0), _.copy(hbufferSlots = -1)))
+                                                _.copy(dbSize = 0), _.copy(hbufferSlots = -1),
+                                                _.copy(saxSegments = 0), _.copy(saxCardinality = 1),
+                                                _.copy(saxCardinality = 512)))
       intercept[IllegalArgumentException](bad(ok))
   }
 

@@ -46,11 +46,28 @@ class ISaxSpec extends AnyFunSuite {
     assert(p.forall(v => math.abs(v - 2.0) < 1e-6))
   }
 
+  // writeWord reads a series in place: packed after an odd-sized prefix and
+  // written at an odd output offset, it writes the word of the copied series.
   test("word round-trips through symbolOf(paa)") {
-    val s = SeriesGen.dataset("walk", 1, 64, 7)(0)
-    val p = isax.paa(s)
-    val w = isax.word(s)
-    p.indices.foreach(i => assert(w(i) == isax.symbolOf(p(i))))
+    for (len <- Seq(64, 100, 256)) {
+      val isax = new ISax(len, 16, 256)
+      val data = SeriesGen.dataset("walk", 3, len, 7)
+      data.foreach { s =>
+        val p = isax.paa(s)
+        val w = isax.word(s)
+        p.indices.foreach(i => assert(w(i) == isax.symbolOf(p(i)), s"len $len segment $i"))
+      }
+      for (pad <- Seq(0, 1, 7, len + 3)) {
+        val packed = Array.fill(pad)(1e6f) ++ data.flatten
+        val out = Array.fill[Byte](5 + data.length * 16)(-1)
+        data.indices.foreach(j => isax.writeWord(packed, pad + j * len, out, 5 + j * 16))
+        data.indices.foreach { j =>
+          assert(out.slice(5 + j * 16, 5 + (j + 1) * 16).sameElements(isax.word(data(j))),
+            s"len $len pad $pad series $j")
+        }
+        assert(out.take(5).forall(_ == -1))
+      }
+    }
   }
 
   test("lbSax2 is zero for the series' own word when PAA falls in-region") {
